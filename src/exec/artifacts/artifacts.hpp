@@ -1,17 +1,16 @@
 // exec/artifacts — the one-stop execution-artifact bundle.
 //
 // Every execution family used to re-derive its own view of the forest at
-// construction time: the wide interpreter packed PackedNode arrays, the SIMD
-// engine built SoA struct-of-arrays, the layout engine ran the auto-tuner
-// and packed CompactNode16/8 images, codegen walked the trees yet again, and
-// verify rebuilt all of them a second time to check images it never actually
-// executed.  ExecArtifacts centralizes that: built once per forest, it owns
+// construction time: the wide interpreter packed PackedNode arrays, the
+// layout engine ran the auto-tuner and packed CompactNode16/8 images,
+// codegen walked the trees yet again, and verify rebuilt all of them a
+// second time to check images it never actually executed.  ExecArtifacts
+// centralizes that: built once per forest, it owns
 //
 //   * ForestStats            — shape/branch summaries (one DFS),
 //   * KeyTableSet            — per-feature monotone threshold tables,
 //   * NarrowFit + LayoutPlan — the auto-tuner verdict,
 //   * PackedNode image       — via the wide Encoded interpreter engine,
-//   * SoaForest              — SIMD arrays with narrowed keys,
 //   * CompactForest<16/8>    — compact images, cached per hot_depth,
 //   * Q4Forest               — the 4-byte quantized image + its QuantPlan,
 //   * content_hash           — a structural FNV-1a digest keying the JIT
@@ -35,7 +34,6 @@
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
-#include "exec/simd/soa.hpp"
 #include "trees/forest.hpp"
 #include "trees/tree_stats.hpp"
 
@@ -90,9 +88,6 @@ class ExecArtifacts {
   /// The wide interpreter's packed image, via the Encoded engine (cached).
   const FlintForestEngine<T>& packed_engine();
 
-  /// SIMD struct-of-arrays image with narrow keys built (cached).
-  const simd::SoaForest<T>& soa();
-
   /// Structural content digest: forest topology, threshold bits, flags,
   /// category bitsets, leaf payloads, class/feature counts.  Any split
   /// mutation changes it.  Used (combined with model semantics and compiler
@@ -116,7 +111,6 @@ class ExecArtifacts {
   std::map<std::size_t, std::string> c8_why_;
   std::map<std::size_t, std::string> q4_why_;
   std::optional<FlintForestEngine<T>> packed_;
-  std::optional<simd::SoaForest<T>> soa_;
   mutable std::optional<std::uint64_t> hash_;
 };
 

@@ -34,13 +34,12 @@
 //     working set every sample touches), and the subtrees hanging below
 //     the slab are emitted as preorder clusters behind it.
 //
-// Traversal comes in two shapes (dual of exec/simd's across-samples
-// lockstep): a blocked batch loop (remap a block of samples to narrow keys
-// once, then stream each tree's nodes across the block) and an interleaved
-// latency path that walks `plan.interleave` trees of ONE sample in
-// lockstep, so independent node fetches overlap in the out-of-order window,
-// optionally software-prefetching the right ("opposite" of the implicit
-// left) child ahead of the compare.
+// Traversal comes in two shapes: a blocked batch loop (remap a block of
+// samples to narrow keys once, then stream each tree's nodes across the
+// block) and an interleaved latency path that walks `plan.interleave` trees
+// of ONE sample in lockstep, so independent node fetches overlap in the
+// out-of-order window, optionally software-prefetching the right
+// ("opposite" of the implicit left) child ahead of the compare.
 //
 // Bit-identical to Forest::predict on every input — including NaN routed
 // by per-node default directions and categorical membership splits, via a

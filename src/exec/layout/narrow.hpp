@@ -115,9 +115,9 @@ template <typename T>
 /// ranks the radix key, and verifies the split actually sits in the table
 /// at that rank (the exactness precondition every packed node relies on).
 /// Throws std::logic_error when it does not — the table was built from a
-/// different forest.  The single helper both the compact packer and
-/// SoaForest::build_narrow_keys go through, so the normalization rule
-/// cannot drift between them.
+/// different forest.  The single helper both the compact and the 4-byte
+/// packers go through, so the normalization rule cannot drift between
+/// them.
 template <typename T>
 [[nodiscard]] std::int32_t rank_of_split(const KeyTable<T>& table, T split);
 

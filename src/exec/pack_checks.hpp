@@ -2,11 +2,11 @@
 // engines.
 //
 // Every engine family (the AoS interpreters in exec/interpreter and the
-// SoA packer in exec/simd) indexes vote counters by leaf class ids with no
-// bounds check on the hot path, so a model whose header understates
-// num_classes — reachable through trees::read_forest, whose structural
-// validation does not know the forest-level class count — must be rejected
-// once, when the model is packed.
+// compact/quantized packers in exec/layout) indexes vote counters by leaf
+// class ids with no bounds check on the hot path, so a model whose header
+// understates num_classes — reachable through trees::read_forest, whose
+// structural validation does not know the forest-level class count — must
+// be rejected once, when the model is packed.
 #pragma once
 
 #include <cstdint>

@@ -16,9 +16,9 @@
 namespace flint::predict {
 
 /// Wraps a JIT-loaded classify symbol (ABI: `int f(const T*)`).  Owns the
-/// module; copies of the predictor share it.  Used by the legacy
-/// FLINT_LEGACY_JIT backends and directly by the experiment harness, which
-/// compiles its grid of modules up front.
+/// module; copies of the predictor share it.  Not a make_predictor backend:
+/// the experiment harness constructs it directly around the codegen
+/// flavors' modules, which it compiles up front for its grid.
 template <typename T>
 class JitPredictor final : public Predictor<T> {
  public:

@@ -9,25 +9,21 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
 
-#include "codegen/asm_x86.hpp"
+#include "codegen/cgen_layout.hpp"
 #include "core/hash.hpp"
 #include "core/thread_annotations.hpp"
-#include "codegen/cgen_cags.hpp"
-#include "codegen/cgen_ifelse.hpp"
-#include "codegen/cgen_layout.hpp"
-#include "codegen/cgen_native.hpp"
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/interpreter.hpp"
 #include "exec/layout/compact.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
-#include "exec/simd/simd_engine.hpp"
 #include "jit/cache.hpp"
 #include "predict/jit_predictor.hpp"
 
@@ -326,268 +322,13 @@ std::int32_t argmax_votes(const int* votes, int num_classes) {
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter backends: blocked batch over engine.predict_tree.
-//
-// Layout of the hot loop (the tentpole's cache story): samples are cut into
-// blocks of `block_size`; within a block, each tree classifies every sample
-// of the block before the next tree is touched.  A tree's node array is
-// therefore streamed through the cache once per block instead of once per
-// sample, and the B x C vote matrix is the only state carried across trees.
-// ---------------------------------------------------------------------------
-
-/// Detects the key-remap surface: FlintForestEngine exposes a Signed key
-/// type (RadixKey variant); FloatForestEngine does not.
-template <typename Engine, typename = void>
-struct EngineKeys {
-  static constexpr bool keyed = false;
-  using type = std::int32_t;  // placeholder; buffer stays empty
-};
-template <typename Engine>
-struct EngineKeys<Engine, std::void_t<typename Engine::Signed>> {
-  static constexpr bool keyed = true;
-  using type = typename Engine::Signed;
-};
-
-/// The one blocked tree-scan skeleton both epilogues (vote and score)
-/// share: samples cut into blocks, keys remapped once per block for keyed
-/// engines, then every tree's payload streamed across the block.
-/// `block_begin(base, count)` / `block_end(base, count)` bracket each
-/// block; `on_payload(global_sample, local_sample, payload)` consumes one
-/// tree's leaf payload.  `Engine` needs tree_count/predict_tree; the
-/// key-remap step compiles in only for engines with a key type.
-template <typename T, typename Engine, typename BlockBegin, typename OnPayload,
-          typename BlockEnd>
-void blocked_tree_scan(const Engine& engine, std::size_t cols,
-                       std::size_t block_size, const T* features,
-                       std::size_t n_samples, BlockBegin&& block_begin,
-                       OnPayload&& on_payload, BlockEnd&& block_end) {
-  using Keys = EngineKeys<Engine>;
-  const std::size_t trees = engine.tree_count();
-  std::vector<typename Keys::type> keys;
-  if constexpr (Keys::keyed) {
-    if (engine.needs_keys()) keys.resize(block_size * cols);
-  }
-
-  for (std::size_t base = 0; base < n_samples; base += block_size) {
-    const std::size_t block = std::min(block_size, n_samples - base);
-    block_begin(base, block);
-    if constexpr (Keys::keyed) {
-      if (!keys.empty()) {
-        for (std::size_t s = 0; s < block; ++s) {
-          engine.remap_keys({features + (base + s) * cols, cols},
-                            {keys.data() + s * cols, cols});
-        }
-      }
-    }
-    for (std::size_t t = 0; t < trees; ++t) {
-      for (std::size_t s = 0; s < block; ++s) {
-        const std::span<const T> row{features + (base + s) * cols, cols};
-        std::int32_t payload;
-        if constexpr (Keys::keyed) {
-          const std::span<const typename Keys::type> key_row =
-              keys.empty() ? std::span<const typename Keys::type>{}
-                           : std::span<const typename Keys::type>{
-                                 keys.data() + s * cols, cols};
-          payload = engine.predict_tree(t, row, key_row);
-        } else {
-          payload = engine.predict_tree(t, row);
-        }
-        on_payload(base + s, s, payload);
-      }
-    }
-    block_end(base, block);
-  }
-}
-
-/// Vote epilogue over the blocked scan (see the section comment above).
-template <typename T, typename Engine>
-void blocked_predict_batch(const Engine& engine, std::size_t cols,
-                           std::size_t block_size, const T* features,
-                           std::size_t n_samples, std::int32_t* out) {
-  const auto classes =
-      static_cast<std::size_t>(std::max(engine.num_classes(), 1));
-  std::vector<int> votes(block_size * classes);
-  blocked_tree_scan(
-      engine, cols, block_size, features, n_samples,
-      [&](std::size_t, std::size_t block) {
-        std::fill(votes.begin(), votes.begin() + block * classes, 0);
-      },
-      [&](std::size_t, std::size_t s, std::int32_t c) {
-        ++votes[s * classes + static_cast<std::size_t>(c)];
-      },
-      [&](std::size_t base, std::size_t block) {
-        for (std::size_t s = 0; s < block; ++s) {
-          out[base + s] = argmax_votes(votes.data() + s * classes,
-                                       static_cast<int>(classes));
-        }
-      });
-}
-
-template <typename T>
-class FlintEnginePredictor final : public Predictor<T> {
- public:
-  FlintEnginePredictor(const trees::Forest<T>& forest,
-                       exec::FlintVariant variant, std::size_t block_size,
-                       std::string name = {})
-      : engine_(forest, variant),
-        block_size_(std::max<std::size_t>(block_size, 1)),
-        name_(name.empty() ? exec::to_string(variant) : std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    blocked_predict_batch(engine_, engine_.feature_count(), block_size_,
-                          features, n_samples, out);
-  }
-
- private:
-  exec::FlintForestEngine<T> engine_;
-  std::size_t block_size_;
-  std::string name_;
-};
-
-template <typename T>
-class FloatEnginePredictor final : public Predictor<T> {
- public:
-  FloatEnginePredictor(const trees::Forest<T>& forest, std::size_t block_size)
-      : engine_(forest),
-        feature_count_(forest.feature_count()),
-        block_size_(std::max<std::size_t>(block_size, 1)) {}
-
-  [[nodiscard]] std::string name() const override { return "float"; }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return feature_count_;
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    blocked_predict_batch(engine_, feature_count_, block_size_, features,
-                          n_samples, out);
-  }
-
- private:
-  exec::FloatForestEngine<T> engine_;
-  std::size_t feature_count_;
-  std::size_t block_size_;
-};
-
-/// Data-parallel SoA backend: SimdForestEngine steps lane-width samples
-/// through each tree in lockstep (exec/simd/).  The engine's predict_batch
-/// is already blocked and const-thread-safe, so this wrapper only adapts
-/// naming and shape plumbing.
-template <typename T>
-class SimdPredictor final : public Predictor<T> {
- public:
-  SimdPredictor(const trees::Forest<T>& forest, exec::simd::SimdMode mode,
-                std::size_t block_size)
-      : engine_(forest, mode, block_size) {}
-
-  [[nodiscard]] std::string name() const override {
-    return std::string("simd:") + exec::simd::to_string(engine_.mode());
-  }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    engine_.predict_batch(features, n_samples, out);
-  }
-
- private:
-  exec::simd::SimdForestEngine<T> engine_;
-};
-
-/// Compact cache-aware layout backend: LayoutForestEngine re-packs the
-/// forest into 16- or 8-byte nodes with implicit left children, hot-slab /
-/// DFS-clustered placement and narrowed threshold keys (exec/layout/).
-/// The engine's predict_batch is blocked + const-thread-safe, so the
-/// wrapper only adapts naming and shape plumbing.
-template <typename T>
-class LayoutPredictor final : public Predictor<T> {
- public:
-  LayoutPredictor(const trees::Forest<T>& forest,
-                  const exec::layout::LayoutPlan& plan,
-                  const exec::layout::KeyTableSet<T>& tables)
-      : engine_(forest, plan, tables) {}
-
-  [[nodiscard]] std::string name() const override {
-    return "layout:" + engine_.plan().describe();
-  }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    engine_.predict_batch(features, n_samples, out);
-  }
-
- private:
-  exec::layout::LayoutForestEngine<T> engine_;
-};
-
-/// 4-byte quantized layout backend (layout:q4 / quant:affine): binds an
-/// already-packed Q4Forest — the factory packs once, checks the
-/// quantization contract, then hands the image over — and serves batches
-/// through the batch-boundary integer pipeline.
-template <typename T>
-class Q4LayoutPredictor final : public Predictor<T> {
- public:
-  Q4LayoutPredictor(exec::layout::Q4Forest<T> packed,
-                    const exec::layout::LayoutPlan& plan,
-                    std::string name = {})
-      : engine_(std::move(packed), plan), name_(std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return name_.empty() ? "layout:" + engine_.plan().describe() : name_;
-  }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    engine_.predict_batch(features, n_samples, out);
-  }
-
- private:
-  exec::layout::Q4ForestEngine<T> engine_;
-  std::string name_;
-};
-
-// ---------------------------------------------------------------------------
-// Score backends: float-accumulate epilogues for additive leaf-value models
+// Score epilogue data: float-accumulate for additive leaf-value models
 // (model::ForestModel with SumScores aggregation).  Every backend
 // accumulates each sample's leaf-value rows IN TREE ORDER — the reference
 // summation order — so raw sums are bit-identical across reference,
-// interpreter, SIMD and layout paths on identical inputs, and the link
-// (applied once, in double) preserves that (docs/MODEL_FORMATS.md
-// "Numerical contract").
+// interpreter and layout paths on identical inputs, and the link (applied
+// once, in double) preserves that (docs/MODEL_FORMATS.md "Numerical
+// contract").
 // ---------------------------------------------------------------------------
 
 /// The semantic half of a ForestModel a score backend needs at run time
@@ -605,356 +346,360 @@ struct ScoreSpec {
             m.aggregation.link, m.num_classes()};
   }
 
+  [[nodiscard]] std::size_t k() const noexcept {
+    return static_cast<std::size_t>(n_outputs);
+  }
+
   void init_rows(std::size_t n_samples, T* out) const {
-    const auto k = static_cast<std::size_t>(n_outputs);
     for (std::size_t s = 0; s < n_samples; ++s) {
-      for (std::size_t j = 0; j < k; ++j) {
-        out[s * k + j] = base.empty() ? T{0} : base[j];
-      }
-    }
-  }
-};
-
-/// Common glue: class plumbing, link application, and score -> class
-/// reduction (argmax first-max for k > 1; sigmoid margin > 0 for k == 1,
-/// the boundary falling to class 0 like a vote tie).  Subclasses provide
-/// accumulate_scores = base + per-tree leaf-row sums, NO link.
-template <typename T>
-class ScorePredictorBase : public Predictor<T> {
- public:
-  ScorePredictorBase(ScoreSpec<T> spec, std::size_t feature_count)
-      : spec_(std::move(spec)), feature_count_(feature_count) {}
-
-  [[nodiscard]] int num_classes() const noexcept override {
-    return spec_.num_classes;
-  }
-  [[nodiscard]] int num_outputs() const noexcept override {
-    return spec_.n_outputs;
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return feature_count_;
-  }
-
- protected:
-  virtual void accumulate_scores(const T* features, std::size_t n_samples,
-                                 T* out) const = 0;
-
-  void do_predict_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    accumulate_scores(features, n_samples, out);
-    model::apply_link(spec_.link, n_samples,
-                      static_cast<std::size_t>(spec_.n_outputs), out);
-  }
-
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    if (spec_.num_classes <= 0) {
-      throw std::logic_error(
-          "predict_batch: '" + this->name() +
-          "' serves a regression model with no classes; use predict_scores");
-    }
-    const auto k = static_cast<std::size_t>(spec_.n_outputs);
-    std::vector<T> scores(n_samples * k);
-    accumulate_scores(features, n_samples, scores.data());
-    // Links never change an argmax, so classes reduce from the raw sums
-    // directly — model::class_from_raw is the single home of the rule.
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      out[s] = model::class_from_raw(spec_.n_outputs, scores.data() + s * k);
-    }
-  }
-
-  ScoreSpec<T> spec_;
-  std::size_t feature_count_;
-};
-
-/// Score semantics baseline: per-sample, per-tree Tree::predict over an
-/// owned forest copy — the accumulation every other score backend is
-/// property-tested against.
-template <typename T>
-class ReferenceScorePredictor final : public ScorePredictorBase<T> {
- public:
-  explicit ReferenceScorePredictor(const model::ForestModel<T>& m)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        forest_(m.forest) {}
-
-  [[nodiscard]] std::string name() const override { return "reference"; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    const auto& spec = this->spec_;
-    const auto k = static_cast<std::size_t>(spec.n_outputs);
-    const std::size_t cols = forest_.feature_count();
-    spec.init_rows(n_samples, out);
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      const std::span<const T> row{features + s * cols, cols};
-      T* srow = out + s * k;
-      for (std::size_t t = 0; t < forest_.size(); ++t) {
-        const auto leaf_row =
-            static_cast<std::size_t>(forest_.tree(t).predict(row));
-        const T* lv = spec.leaf_values.data() + leaf_row * k;
-        for (std::size_t j = 0; j < k; ++j) srow[j] += lv[j];
+      for (std::size_t j = 0; j < k(); ++j) {
+        out[s * k() + j] = base.empty() ? T{0} : base[j];
       }
     }
   }
 
- private:
-  trees::Forest<T> forest_;
+  /// Adds leaf-value row `leaf_row` onto one sample's output row.
+  void add_row(std::size_t leaf_row, T* srow) const {
+    const T* lv = leaf_values.data() + leaf_row * k();
+    for (std::size_t j = 0; j < k(); ++j) srow[j] += lv[j];
+  }
 };
 
-/// Score epilogue over the same blocked scan: the vote bin becomes a
-/// leaf-row add.  Works for FlintForestEngine (all variants, keys compiled
-/// in for RadixKey) and FloatForestEngine.
-template <typename T, typename Engine>
-void blocked_accumulate_scores(const Engine& engine, std::size_t cols,
-                               std::size_t block_size,
-                               const ScoreSpec<T>& spec, const T* features,
-                               std::size_t n_samples, T* out) {
-  const auto k = static_cast<std::size_t>(spec.n_outputs);
-  spec.init_rows(n_samples, out);
-  blocked_tree_scan(
-      engine, cols, block_size, features, n_samples,
-      [](std::size_t, std::size_t) {},
-      [&](std::size_t global, std::size_t, std::int32_t payload) {
-        const T* lv =
-            spec.leaf_values.data() + static_cast<std::size_t>(payload) * k;
-        T* srow = out + global * k;
-        for (std::size_t j = 0; j < k; ++j) srow[j] += lv[j];
-      },
-      [](std::size_t, std::size_t) {});
-}
+// ---------------------------------------------------------------------------
+// Execution adapters.  Each wraps one engine family behind the two calls
+// the predictor needs:
+//
+//   vote(features, n, out)              majority-vote class per sample
+//   accumulate(features, n, spec, out)  base + tree-order leaf-row sums,
+//                                       NO link
+//
+// plus name()/num_classes()/feature_count().  Both calls are
+// const-thread-safe: every engine keeps its scratch function-local.
+// ---------------------------------------------------------------------------
 
+/// Semantics baseline: per-sample Forest::predict / per-tree Tree::predict
+/// over an owned forest copy — what every other backend is property-tested
+/// against.
 template <typename T>
-class FlintScorePredictor final : public ScorePredictorBase<T> {
+class ReferenceExec {
  public:
-  FlintScorePredictor(const model::ForestModel<T>& m,
-                      exec::FlintVariant variant, std::size_t block_size,
-                      std::string name = {})
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest, variant),
-        block_size_(std::max<std::size_t>(block_size, 1)),
-        name_(name.empty() ? exec::to_string(variant) : std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override { return name_; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    blocked_accumulate_scores(engine_, this->feature_count_, block_size_,
-                              this->spec_, features, n_samples, out);
-  }
-
- private:
-  exec::FlintForestEngine<T> engine_;
-  std::size_t block_size_;
-  std::string name_;
-};
-
-template <typename T>
-class FloatScorePredictor final : public ScorePredictorBase<T> {
- public:
-  FloatScorePredictor(const model::ForestModel<T>& m, std::size_t block_size)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest),
-        block_size_(std::max<std::size_t>(block_size, 1)) {}
-
-  [[nodiscard]] std::string name() const override { return "float"; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    blocked_accumulate_scores(engine_, this->feature_count_, block_size_,
-                              this->spec_, features, n_samples, out);
-  }
-
- private:
-  exec::FloatForestEngine<T> engine_;
-  std::size_t block_size_;
-};
-
-/// SoA lane backend: SimdForestEngine's float-accumulate epilogue.
-template <typename T>
-class SimdScorePredictor final : public ScorePredictorBase<T> {
- public:
-  SimdScorePredictor(const model::ForestModel<T>& m,
-                     exec::simd::SimdMode mode, std::size_t block_size)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest, mode, block_size) {}
-
-  [[nodiscard]] std::string name() const override {
-    return std::string("simd:") + exec::simd::to_string(engine_.mode());
-  }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    engine_.predict_scores(features, n_samples, this->spec_.leaf_values,
-                           static_cast<std::size_t>(this->spec_.n_outputs),
-                           this->spec_.base, out);
-  }
-
- private:
-  exec::simd::SimdForestEngine<T> engine_;
-};
-
-/// Compact-layout backend: leaf payloads are leaf-value row indices, so
-/// the key-width pack gates bound the table size exactly like class ids.
-template <typename T>
-class LayoutScorePredictor final : public ScorePredictorBase<T> {
- public:
-  LayoutScorePredictor(const model::ForestModel<T>& m,
-                       const exec::layout::LayoutPlan& plan,
-                       const exec::layout::KeyTableSet<T>& tables)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest, plan, tables) {}
-
-  [[nodiscard]] std::string name() const override {
-    return "layout:" + engine_.plan().describe();
-  }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    engine_.predict_scores(features, n_samples, this->spec_.leaf_values,
-                           static_cast<std::size_t>(this->spec_.n_outputs),
-                           this->spec_.base, out);
-  }
-
- private:
-  exec::layout::LayoutForestEngine<T> engine_;
-};
-
-/// 4-byte quantized SCORE backend: leaf payloads are leaf-value row
-/// indices bounded by the q4 key mask at pack time; accumulation is tree-
-/// order like every other score backend.
-template <typename T>
-class Q4LayoutScorePredictor final : public ScorePredictorBase<T> {
- public:
-  Q4LayoutScorePredictor(const model::ForestModel<T>& m,
-                         exec::layout::Q4Forest<T> packed,
-                         const exec::layout::LayoutPlan& plan,
-                         std::string name = {})
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(std::move(packed), plan),
-        name_(std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return name_.empty() ? "layout:" + engine_.plan().describe() : name_;
-  }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    engine_.predict_scores(features, n_samples, this->spec_.leaf_values,
-                           static_cast<std::size_t>(this->spec_.n_outputs),
-                           this->spec_.base, out);
-  }
-
- private:
-  exec::layout::Q4ForestEngine<T> engine_;
-  std::string name_;
-};
-
-/// jit:layout vote backend: a generated tile-blocked batch body compiled
-/// from the compact image (codegen/cgen_layout.hpp), shared through the
-/// process-wide compile cache.  Const-thread-safe: generated scratch is
-/// function-local (stack arrays).
-template <typename T>
-class LayoutJitPredictor final : public Predictor<T> {
- public:
-  using BatchFn = void(const T*, long long, std::int32_t*);
-
-  LayoutJitPredictor(std::shared_ptr<const jit::JitModule> module,
-                     const std::string& symbol, int num_classes,
-                     std::size_t feature_count)
-      : module_(std::move(module)),
-        num_classes_(num_classes),
-        feature_count_(feature_count) {
-    batch_ = module_->function<BatchFn>(symbol);
-  }
-
-  [[nodiscard]] std::string name() const override { return "jit:layout"; }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return num_classes_;
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return feature_count_;
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    batch_(features, static_cast<long long>(n_samples), out);
-  }
-
- private:
-  std::shared_ptr<const jit::JitModule> module_;
-  BatchFn* batch_ = nullptr;
-  int num_classes_ = 0;
-  std::size_t feature_count_ = 0;
-};
-
-/// jit:layout score backend: the generated accumulate-scores body embeds
-/// the leaf-value table and base offsets; link application and class
-/// reduction stay host-side in ScorePredictorBase, so results are
-/// bit-identical to the blocked interpreter accumulators.
-template <typename T>
-class LayoutJitScorePredictor final : public ScorePredictorBase<T> {
- public:
-  using AccumFn = void(const T*, long long, T*);
-
-  LayoutJitScorePredictor(const model::ForestModel<T>& m,
-                          std::shared_ptr<const jit::JitModule> module,
-                          const std::string& symbol)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        module_(std::move(module)) {
-    accumulate_ = module_->function<AccumFn>(symbol);
-  }
-
-  [[nodiscard]] std::string name() const override { return "jit:layout"; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    accumulate_(features, static_cast<long long>(n_samples), out);
-  }
-
- private:
-  std::shared_ptr<const jit::JitModule> module_;
-  AccumFn* accumulate_ = nullptr;
-};
-
-/// Semantics baseline: per-sample Forest::predict over an owned model copy.
-template <typename T>
-class ReferencePredictor final : public Predictor<T> {
- public:
-  explicit ReferencePredictor(trees::Forest<T> forest)
-      : forest_(std::move(forest)) {
+  explicit ReferenceExec(const trees::Forest<T>& forest) : forest_(forest) {
     if (forest_.empty()) {
-      throw std::invalid_argument("ReferencePredictor: empty forest");
+      throw std::invalid_argument("make_predictor: reference: empty forest");
     }
   }
 
-  [[nodiscard]] std::string name() const override { return "reference"; }
-  [[nodiscard]] int num_classes() const noexcept override {
+  [[nodiscard]] std::string name() const { return "reference"; }
+  [[nodiscard]] int num_classes() const noexcept {
     return forest_.num_classes();
   }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
+  [[nodiscard]] std::size_t feature_count() const noexcept {
     return forest_.feature_count();
   }
 
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
+  void vote(const T* features, std::size_t n_samples, std::int32_t* out) const {
     const std::size_t cols = forest_.feature_count();
     for (std::size_t s = 0; s < n_samples; ++s) {
       out[s] = forest_.predict({features + s * cols, cols});
     }
   }
 
+  void accumulate(const T* features, std::size_t n_samples,
+                  const ScoreSpec<T>& spec, T* out) const {
+    const std::size_t cols = forest_.feature_count();
+    spec.init_rows(n_samples, out);
+    for (std::size_t s = 0; s < n_samples; ++s) {
+      const std::span<const T> row{features + s * cols, cols};
+      for (std::size_t t = 0; t < forest_.size(); ++t) {
+        spec.add_row(static_cast<std::size_t>(forest_.tree(t).predict(row)),
+                     out + s * spec.k());
+      }
+    }
+  }
+
  private:
   trees::Forest<T> forest_;
 };
+
+/// Detects the key-remap surface: FlintForestEngine exposes a Signed key
+/// type (RadixKey variant); FloatForestEngine does not.
+template <typename Engine, typename = void>
+struct EngineKeys {
+  static constexpr bool keyed = false;
+  using type = std::int32_t;  // placeholder; buffer stays empty
+};
+template <typename Engine>
+struct EngineKeys<Engine, std::void_t<typename Engine::Signed>> {
+  static constexpr bool keyed = true;
+  using type = typename Engine::Signed;
+};
+
+/// Interpreter backends: blocked batch over engine.predict_tree.
+///
+/// Layout of the hot loop (the cache story): samples are cut into blocks of
+/// `block_size`; within a block, each tree classifies every sample of the
+/// block before the next tree is touched.  A tree's node array is therefore
+/// streamed through the cache once per block instead of once per sample,
+/// and the per-block vote matrix (or the output score rows) is the only
+/// state carried across trees.  Works for FlintForestEngine (all variants,
+/// keys remapped once per block for RadixKey) and FloatForestEngine.
+template <typename T, typename Engine>
+class BlockedExec {
+ public:
+  template <typename... EngineArgs>
+  BlockedExec(std::string name, std::size_t block_size,
+              const trees::Forest<T>& forest, EngineArgs&&... engine_args)
+      : engine_(forest, std::forward<EngineArgs>(engine_args)...),
+        name_(std::move(name)),
+        cols_(forest.feature_count()),
+        block_size_(std::max<std::size_t>(block_size, 1)) {}
+
+  [[nodiscard]] std::string name() const { return name_; }
+  [[nodiscard]] int num_classes() const noexcept {
+    return engine_.num_classes();
+  }
+  [[nodiscard]] std::size_t feature_count() const noexcept { return cols_; }
+
+  void vote(const T* features, std::size_t n_samples, std::int32_t* out) const {
+    const auto classes =
+        static_cast<std::size_t>(std::max(engine_.num_classes(), 1));
+    std::vector<int> votes(block_size_ * classes);
+    scan(
+        features, n_samples,
+        [&](std::size_t, std::size_t block) {
+          std::fill(votes.begin(), votes.begin() + block * classes, 0);
+        },
+        [&](std::size_t, std::size_t s, std::int32_t c) {
+          ++votes[s * classes + static_cast<std::size_t>(c)];
+        },
+        [&](std::size_t base, std::size_t block) {
+          for (std::size_t s = 0; s < block; ++s) {
+            out[base + s] = argmax_votes(votes.data() + s * classes,
+                                         static_cast<int>(classes));
+          }
+        });
+  }
+
+  void accumulate(const T* features, std::size_t n_samples,
+                  const ScoreSpec<T>& spec, T* out) const {
+    spec.init_rows(n_samples, out);
+    scan(
+        features, n_samples, [](std::size_t, std::size_t) {},
+        [&](std::size_t global, std::size_t, std::int32_t payload) {
+          spec.add_row(static_cast<std::size_t>(payload),
+                       out + global * spec.k());
+        },
+        [](std::size_t, std::size_t) {});
+  }
+
+ private:
+  /// The one blocked tree-scan skeleton both epilogues share.
+  /// `block_begin(base, count)` / `block_end(base, count)` bracket each
+  /// block; `on_payload(global_sample, local_sample, payload)` consumes one
+  /// tree's leaf payload.
+  template <typename BlockBegin, typename OnPayload, typename BlockEnd>
+  void scan(const T* features, std::size_t n_samples, BlockBegin&& block_begin,
+            OnPayload&& on_payload, BlockEnd&& block_end) const {
+    using Keys = EngineKeys<Engine>;
+    const std::size_t trees = engine_.tree_count();
+    const std::size_t cols = cols_;
+    std::vector<typename Keys::type> keys;
+    if constexpr (Keys::keyed) {
+      if (engine_.needs_keys()) keys.resize(block_size_ * cols);
+    }
+
+    for (std::size_t base = 0; base < n_samples; base += block_size_) {
+      const std::size_t block = std::min(block_size_, n_samples - base);
+      block_begin(base, block);
+      if constexpr (Keys::keyed) {
+        if (!keys.empty()) {
+          for (std::size_t s = 0; s < block; ++s) {
+            engine_.remap_keys({features + (base + s) * cols, cols},
+                               {keys.data() + s * cols, cols});
+          }
+        }
+      }
+      for (std::size_t t = 0; t < trees; ++t) {
+        for (std::size_t s = 0; s < block; ++s) {
+          const std::span<const T> row{features + (base + s) * cols, cols};
+          std::int32_t payload;
+          if constexpr (Keys::keyed) {
+            const std::span<const typename Keys::type> key_row =
+                keys.empty() ? std::span<const typename Keys::type>{}
+                             : std::span<const typename Keys::type>{
+                                   keys.data() + s * cols, cols};
+            payload = engine_.predict_tree(t, row, key_row);
+          } else {
+            payload = engine_.predict_tree(t, row);
+          }
+          on_payload(base + s, s, payload);
+        }
+      }
+      block_end(base, block);
+    }
+  }
+
+  Engine engine_;
+  std::string name_;
+  std::size_t cols_;
+  std::size_t block_size_;
+};
+
+/// Packed-image backends whose engine runs whole batches itself:
+/// LayoutForestEngine (16/8-byte compact nodes, exec/layout/compact.hpp)
+/// and Q4ForestEngine (4-byte quantized nodes, exec/layout/quant4.hpp).
+/// Leaf payloads are class ids or leaf-value row indices, so the key-width
+/// pack gates bound the score table exactly like class ids.  `name` empty
+/// means "layout:" + the engine's plan.
+template <typename T, typename Engine>
+class ImageExec {
+ public:
+  template <typename... EngineArgs>
+  explicit ImageExec(std::string name, EngineArgs&&... engine_args)
+      : engine_(std::forward<EngineArgs>(engine_args)...),
+        name_(name.empty() ? "layout:" + engine_.plan().describe()
+                           : std::move(name)) {}
+
+  [[nodiscard]] std::string name() const { return name_; }
+  [[nodiscard]] int num_classes() const noexcept {
+    return engine_.num_classes();
+  }
+  [[nodiscard]] std::size_t feature_count() const noexcept {
+    return engine_.feature_count();
+  }
+
+  void vote(const T* features, std::size_t n_samples, std::int32_t* out) const {
+    engine_.predict_batch(features, n_samples, out);
+  }
+
+  void accumulate(const T* features, std::size_t n_samples,
+                  const ScoreSpec<T>& spec, T* out) const {
+    engine_.predict_scores(features, n_samples, spec.leaf_values, spec.k(),
+                           spec.base, out);
+  }
+
+ private:
+  Engine engine_;
+  std::string name_;
+};
+
+/// jit:layout: a generated tile-blocked body compiled from the compact
+/// image (codegen/cgen_layout.hpp), shared through the process-wide compile
+/// cache.  A vote module exports `forest_predict_batch`; a score module
+/// exports `forest_accumulate_scores` with the leaf-value table and base
+/// offsets embedded, so the spec argument is already baked in.  Generated
+/// scratch is function-local (stack arrays).
+template <typename T>
+class JitLayoutExec {
+ public:
+  using BatchFn = void(const T*, long long, std::int32_t*);
+  using AccumFn = void(const T*, long long, T*);
+
+  JitLayoutExec(std::shared_ptr<const jit::JitModule> module, bool vote,
+                int num_classes, std::size_t feature_count)
+      : module_(std::move(module)),
+        num_classes_(num_classes),
+        feature_count_(feature_count) {
+    if (vote) {
+      batch_ = module_->function<BatchFn>("forest_predict_batch");
+    } else {
+      accumulate_ = module_->function<AccumFn>("forest_accumulate_scores");
+    }
+  }
+
+  [[nodiscard]] std::string name() const { return "jit:layout"; }
+  [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
+  [[nodiscard]] std::size_t feature_count() const noexcept {
+    return feature_count_;
+  }
+
+  void vote(const T* features, std::size_t n_samples, std::int32_t* out) const {
+    batch_(features, static_cast<long long>(n_samples), out);
+  }
+
+  void accumulate(const T* features, std::size_t n_samples,
+                  const ScoreSpec<T>& /*spec*/, T* out) const {
+    accumulate_(features, static_cast<long long>(n_samples), out);
+  }
+
+ private:
+  std::shared_ptr<const jit::JitModule> module_;
+  BatchFn* batch_ = nullptr;
+  AccumFn* accumulate_ = nullptr;
+  int num_classes_ = 0;
+  std::size_t feature_count_ = 0;
+};
+
+/// The one predictor class behind every non-parallel backend.  Without a
+/// ScoreSpec it serves a majority-vote forest: predict_batch is the
+/// adapter's vote call and there are no scores.  With one it serves an
+/// additive leaf-value model: predict_scores is accumulate + link, and
+/// predict_batch reduces the raw sums to classes (argmax first-max for
+/// k > 1; sigmoid margin > 0 for k == 1, the boundary falling to class 0
+/// like a vote tie) or throws for regression models.
+template <typename T, typename Exec>
+class EnginePredictor final : public Predictor<T> {
+ public:
+  template <typename... ExecArgs>
+  explicit EnginePredictor(std::optional<ScoreSpec<T>> score,
+                           ExecArgs&&... exec_args)
+      : exec_(std::forward<ExecArgs>(exec_args)...), score_(std::move(score)) {}
+
+  [[nodiscard]] std::string name() const override { return exec_.name(); }
+  [[nodiscard]] int num_classes() const noexcept override {
+    return score_ ? score_->num_classes : exec_.num_classes();
+  }
+  [[nodiscard]] std::size_t feature_count() const noexcept override {
+    return exec_.feature_count();
+  }
+  [[nodiscard]] int num_outputs() const noexcept override {
+    return score_ ? score_->n_outputs : 0;
+  }
+
+ protected:
+  void do_predict_batch(const T* features, std::size_t n_samples,
+                        std::int32_t* out) const override {
+    if (!score_) {
+      exec_.vote(features, n_samples, out);
+      return;
+    }
+    if (score_->num_classes <= 0) {
+      throw std::logic_error(
+          "predict_batch: '" + name() +
+          "' serves a regression model with no classes; use predict_scores");
+    }
+    const std::size_t k = score_->k();
+    std::vector<T> scores(n_samples * k);
+    exec_.accumulate(features, n_samples, *score_, scores.data());
+    // Links never change an argmax, so classes reduce from the raw sums
+    // directly — model::class_from_raw is the single home of the rule.
+    for (std::size_t s = 0; s < n_samples; ++s) {
+      out[s] = model::class_from_raw(score_->n_outputs, scores.data() + s * k);
+    }
+  }
+
+  void do_predict_scores(const T* features, std::size_t n_samples,
+                         T* out) const override {
+    if (!score_) {
+      Predictor<T>::do_predict_scores(features, n_samples, out);
+      return;
+    }
+    exec_.accumulate(features, n_samples, *score_, out);
+    model::apply_link(score_->link, n_samples, score_->k(), out);
+  }
+
+ private:
+  Exec exec_;
+  std::optional<ScoreSpec<T>> score_;
+};
+
+/// Builds EnginePredictor<T, Exec>, constructing the adapter in place.
+template <typename Exec, typename T, typename... ExecArgs>
+std::unique_ptr<Predictor<T>> make_engine(std::optional<ScoreSpec<T>> score,
+                                          ExecArgs&&... exec_args) {
+  return std::make_unique<EnginePredictor<T, Exec>>(
+      std::move(score), std::forward<ExecArgs>(exec_args)...);
+}
 
 }  // namespace
 
@@ -1187,10 +932,6 @@ std::vector<std::string> interpreter_backends() {
   return {"reference", "float", "encoded", "theorem1", "theorem2", "radix"};
 }
 
-std::vector<std::string> simd_backends() {
-  return {"simd:flint", "simd:float"};
-}
-
 std::vector<std::string> layout_backends() {
   return {"layout:auto", "layout:c16", "layout:c8", "layout:q4"};
 }
@@ -1199,25 +940,12 @@ std::vector<std::string> quant_backends() {
   return {"quant:affine"};
 }
 
-std::vector<std::string> jit_backends() {
-  std::vector<std::string> names = {"jit:layout"};
-#ifdef FLINT_LEGACY_JIT
-  // Retired flavors, kept compiling behind -DFLINT_LEGACY_JIT=ON for
-  // comparison experiments; they never serve special (NaN/categorical)
-  // forests natively and fall back to the encoded interpreter there.
-  names.insert(names.end(),
-               {"jit:ifelse-float", "jit:ifelse-flint", "jit:native-float",
-                "jit:native-flint", "jit:cags-float", "jit:cags-flint",
-                "jit:asm-x86"});
-#endif
-  return names;
-}
+std::vector<std::string> jit_backends() { return {"jit:layout"}; }
 
 bool is_known_backend(std::string_view backend) {
   if (backend == "flint") return true;  // factory alias for "encoded"
-  for (const auto& list : {interpreter_backends(), simd_backends(),
-                           layout_backends(), quant_backends(),
-                           jit_backends()}) {
+  for (const auto& list : {interpreter_backends(), layout_backends(),
+                           quant_backends(), jit_backends()}) {
     for (const auto& name : list) {
       if (name == backend) return true;
     }
@@ -1232,9 +960,6 @@ std::string backend_help() {
     help += name;
   }
   help += "|flint";
-  for (const auto& name : simd_backends()) {
-    help += "|" + name;
-  }
   for (const auto& name : layout_backends()) {
     help += "|" + name;
   }
@@ -1271,8 +996,8 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 
 std::string suggest_backend(std::string_view backend) {
   std::vector<std::string> names;
-  for (auto& list : {interpreter_backends(), simd_backends(),
-                     layout_backends(), quant_backends(), jit_backends()}) {
+  for (auto& list : {interpreter_backends(), layout_backends(),
+                     quant_backends(), jit_backends()}) {
     names.insert(names.end(), list.begin(), list.end());
   }
   names.emplace_back("flint");
@@ -1323,42 +1048,7 @@ namespace {
   throw std::invalid_argument(msg);
 }
 
-template <typename T>
-std::unique_ptr<Predictor<T>> make_jit_predictor(
-    const trees::Forest<T>& forest, std::string_view flavor,
-    const PredictorOptions& options) {
-  codegen::CGenOptions copt;
-  copt.prefix = "forest";
-  codegen::GeneratedCode code;
-  if (flavor == "ifelse-float" || flavor == "ifelse-flint") {
-    copt.flint = flavor == "ifelse-flint";
-    code = codegen::generate_ifelse(forest, copt);
-  } else if (flavor == "native-float" || flavor == "native-flint") {
-    copt.flint = flavor == "native-flint";
-    code = codegen::generate_native(forest, copt);
-  } else if (flavor == "cags-float" || flavor == "cags-flint") {
-    if (options.branch_stats.size() != forest.size()) {
-      throw std::invalid_argument(
-          "make_predictor: jit:cags-* needs PredictorOptions::branch_stats "
-          "(one entry per tree; see trees::collect_branch_stats)");
-    }
-    copt.flint = flavor == "cags-flint";
-    code = codegen::generate_cags(
-        forest,
-        std::vector<trees::BranchStats>(options.branch_stats.begin(),
-                                        options.branch_stats.end()),
-        copt);
-  } else if (flavor == "asm-x86") {
-    code = codegen::generate_asm_x86(forest, copt);
-  } else {
-    throw_unknown_backend("jit:" + std::string(flavor));
-  }
-  return std::make_unique<JitPredictor<T>>(code, options.jit,
-                                           forest.num_classes(),
-                                           forest.feature_count());
-}
-
-/// The layout planning chain shared by the vote and score factories: key
+/// The layout planning chain shared by layout:* and quant:affine: key
 /// tables + forest stats computed once, "auto" falling back down the width
 /// chain (q4 -> c8 -> c16 -> Wide), pinned widths validated against the
 /// narrow fitness.  `plan.width == Wide` tells the caller to serve through
@@ -1432,23 +1122,27 @@ LayoutChoice<T> choose_layout(const trees::Forest<T>& forest,
 }
 
 /// Builds a compact-layout predictor.  `mode` is "auto", "c16", "c8" or
-/// "q4".
+/// "q4".  For score models the key-width fitness sees num_classes =
+/// leaf-value rows, so c8/c16 are only picked when the row index fits the
+/// packed key.  Falls back to the wide encoded interpreter when nothing
+/// compact fits.
 template <typename T>
 std::unique_ptr<Predictor<T>> make_layout_predictor(
     const trees::Forest<T>& forest, std::string_view mode,
-    const PredictorOptions& options) {
+    std::optional<ScoreSpec<T>> score, const PredictorOptions& options) {
+  namespace layout = exec::layout;
   LayoutChoice<T> choice = choose_layout(forest, mode, options);
-  if (choice.plan.width == exec::layout::NodeWidth::Wide) {
-    // Nothing compact fits: serve through the proven wide interpreter.
-    return std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Encoded, options.block_size);
+  if (choice.plan.width == layout::NodeWidth::Wide) {
+    return make_engine<BlockedExec<T, exec::FlintForestEngine<T>>>(
+        std::move(score), exec::to_string(exec::FlintVariant::Encoded),
+        options.block_size, forest, exec::FlintVariant::Encoded);
   }
-  if (choice.plan.width == exec::layout::NodeWidth::Q4) {
-    return std::make_unique<Q4LayoutPredictor<T>>(std::move(*choice.q4),
-                                                  choice.plan);
+  if (choice.plan.width == layout::NodeWidth::Q4) {
+    return make_engine<ImageExec<T, layout::Q4ForestEngine<T>>>(
+        std::move(score), std::string{}, std::move(*choice.q4), choice.plan);
   }
-  return std::make_unique<LayoutPredictor<T>>(forest, choice.plan,
-                                              choice.tables);
+  return make_engine<ImageExec<T, layout::LayoutForestEngine<T>>>(
+      std::move(score), std::string{}, forest, choice.plan, choice.tables);
 }
 
 /// quant:affine — the deterministic lossy path: every feature with splits
@@ -1457,43 +1151,13 @@ std::unique_ptr<Predictor<T>> make_layout_predictor(
 /// layout:q4; only the per-feature quantizers differ).
 template <typename T>
 std::unique_ptr<Predictor<T>> make_quant_affine_predictor(
-    const trees::Forest<T>& forest, const PredictorOptions& options) {
+    const trees::Forest<T>& forest, std::optional<ScoreSpec<T>> score,
+    const PredictorOptions& options) {
   LayoutChoice<T> choice =
       choose_layout(forest, "q4", options, /*force_affine=*/true);
-  return std::make_unique<Q4LayoutPredictor<T>>(
-      std::move(*choice.q4), choice.plan,
-      "quant:affine(" + choice.plan.describe() + ")");
-}
-
-/// Builds a compact-layout SCORE predictor via the same planning chain;
-/// the key-width fitness sees num_classes = leaf-value rows, so c8/c16 are
-/// only picked when the row index fits the packed key.  Falls back to the
-/// encoded interpreter accumulator when nothing compact fits.
-template <typename T>
-std::unique_ptr<Predictor<T>> make_layout_score_predictor(
-    const model::ForestModel<T>& m, std::string_view mode,
-    const PredictorOptions& options) {
-  LayoutChoice<T> choice = choose_layout(m.forest, mode, options);
-  if (choice.plan.width == exec::layout::NodeWidth::Wide) {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Encoded, options.block_size);
-  }
-  if (choice.plan.width == exec::layout::NodeWidth::Q4) {
-    return std::make_unique<Q4LayoutScorePredictor<T>>(
-        m, std::move(*choice.q4), choice.plan);
-  }
-  return std::make_unique<LayoutScorePredictor<T>>(m, choice.plan,
-                                                   choice.tables);
-}
-
-template <typename T>
-std::unique_ptr<Predictor<T>> make_quant_affine_score_predictor(
-    const model::ForestModel<T>& m, const PredictorOptions& options) {
-  LayoutChoice<T> choice =
-      choose_layout(m.forest, "q4", options, /*force_affine=*/true);
-  return std::make_unique<Q4LayoutScorePredictor<T>>(
-      m, std::move(*choice.q4), choice.plan,
-      "quant:affine(" + choice.plan.describe() + ")");
+  std::string name = "quant:affine(" + choice.plan.describe() + ")";
+  return make_engine<ImageExec<T, exec::layout::Q4ForestEngine<T>>>(
+      std::move(score), std::move(name), std::move(*choice.q4), choice.plan);
 }
 
 /// Bumped whenever generate_layout's output changes shape, so stale cache
@@ -1537,11 +1201,15 @@ std::uint64_t layout_jit_key(std::uint64_t content, const jit::JitOptions& jopt,
   return h.digest();
 }
 
-/// jit:layout vote factory: one artifact build, one generated module,
-/// shared through the process-wide compile cache.
+/// jit:layout factory: one artifact build, one generated module (vote body,
+/// or score body with the leaf table and base offsets as generated
+/// immediates), shared through the process-wide compile cache.  NaN default
+/// directions and categorical masks are generated code, so special forests
+/// are served natively, never via interpreter fallback.
 template <typename T>
 std::unique_ptr<Predictor<T>> make_layout_jit_predictor(
-    const trees::Forest<T>& forest, const PredictorOptions& options) {
+    const trees::Forest<T>& forest, std::optional<ScoreSpec<T>> score,
+    const PredictorOptions& options) {
   exec::artifacts::ExecArtifacts<T> art(forest, options.block_size);
   const exec::layout::CompactForest<T, exec::layout::CompactNode16>* image;
   try {
@@ -1552,8 +1220,13 @@ std::unique_ptr<Predictor<T>> make_layout_jit_predictor(
         e.what() + ")");
   }
   codegen::LayoutCGenSpec<T> spec;
-  spec.vote = true;
-  spec.num_classes = forest.num_classes();
+  spec.vote = !score;
+  spec.num_classes = score ? score->num_classes : forest.num_classes();
+  if (score) {
+    spec.n_outputs = score->n_outputs;
+    spec.leaf_values = score->leaf_values;
+    spec.base = score->base;
+  }
   const auto gen = [&] {
     return codegen::generate_layout(*image, art.plan(), spec);
   };
@@ -1570,103 +1243,46 @@ std::unique_ptr<Predictor<T>> make_layout_jit_predictor(
         layout_jit_key(art.content_hash(), options.jit, spec, art.plan()),
         gen, options.jit);
   }
-  return std::make_unique<LayoutJitPredictor<T>>(
-      std::move(module), "forest_predict_batch", forest.num_classes(),
-      forest.feature_count());
+  return make_engine<JitLayoutExec<T>>(std::move(score), std::move(module),
+                                       spec.vote, forest.num_classes(),
+                                       forest.feature_count());
 }
 
-/// jit:layout score factory: same pipeline, score-mode spec (leaf table and
-/// base offsets become generated immediates).
+/// The one backend dispatch: vote forests (no ScoreSpec) and additive
+/// leaf-value models (with one) share every backend name.
 template <typename T>
-std::unique_ptr<Predictor<T>> make_layout_jit_score_predictor(
-    const model::ForestModel<T>& m, const PredictorOptions& options) {
-  exec::artifacts::ExecArtifacts<T> art(m.forest, options.block_size);
-  const exec::layout::CompactForest<T, exec::layout::CompactNode16>* image;
-  try {
-    image = &art.compact16();
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(
-        std::string("make_predictor: jit:layout cannot pack this model (") +
-        e.what() + ")");
-  }
-  codegen::LayoutCGenSpec<T> spec;
-  spec.vote = false;
-  spec.num_classes = m.num_classes();
-  spec.n_outputs = m.n_outputs;
-  spec.leaf_values = m.leaf_values;
-  spec.base = m.aggregation.base_score;
-  const auto gen = [&] {
-    return codegen::generate_layout(*image, art.plan(), spec);
+std::unique_ptr<Predictor<T>> make_backend(const trees::Forest<T>& forest,
+                                           std::optional<ScoreSpec<T>> score,
+                                           std::string_view backend,
+                                           const PredictorOptions& options) {
+  using FlintExec = BlockedExec<T, exec::FlintForestEngine<T>>;
+  const auto flint_engine = [&](exec::FlintVariant variant) {
+    return make_engine<FlintExec>(std::move(score), exec::to_string(variant),
+                                  options.block_size, forest, variant);
   };
-  const jit::JitOptions tuned = layout_jit_toolchain(options.jit);
-  std::shared_ptr<const jit::JitModule> module;
-  try {
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), tuned, spec, art.plan()), gen,
-        tuned);
-  } catch (const std::runtime_error&) {
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), options.jit, spec, art.plan()),
-        gen, options.jit);
-  }
-  return std::make_unique<LayoutJitScorePredictor<T>>(
-      m, std::move(module), "forest_accumulate_scores");
-}
-
-/// Score-model backend dispatch (the vote path reuses the forest factory).
-template <typename T>
-std::unique_ptr<Predictor<T>> make_score_predictor(
-    const model::ForestModel<T>& m, std::string_view backend,
-    const PredictorOptions& options) {
   if (backend == "reference") {
-    return std::make_unique<ReferenceScorePredictor<T>>(m);
+    return make_engine<ReferenceExec<T>>(std::move(score), forest);
   }
   if (backend == "float") {
-    return std::make_unique<FloatScorePredictor<T>>(m, options.block_size);
+    return make_engine<BlockedExec<T, exec::FloatForestEngine<T>>>(
+        std::move(score), "float", options.block_size, forest);
   }
   if (backend == "flint" || backend == "encoded") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Encoded, options.block_size);
+    return flint_engine(exec::FlintVariant::Encoded);
   }
-  if (backend == "theorem1") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Theorem1, options.block_size);
-  }
-  if (backend == "theorem2") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Theorem2, options.block_size);
-  }
-  if (backend == "radix") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::RadixKey, options.block_size);
-  }
-  if (backend == "simd:flint") {
-    return std::make_unique<SimdScorePredictor<T>>(
-        m, exec::simd::SimdMode::Flint, options.block_size);
-  }
-  if (backend == "simd:float") {
-    return std::make_unique<SimdScorePredictor<T>>(
-        m, exec::simd::SimdMode::Float, options.block_size);
-  }
+  if (backend == "theorem1") return flint_engine(exec::FlintVariant::Theorem1);
+  if (backend == "theorem2") return flint_engine(exec::FlintVariant::Theorem2);
+  if (backend == "radix") return flint_engine(exec::FlintVariant::RadixKey);
   if (backend.rfind("layout:", 0) == 0) {
-    return make_layout_score_predictor(m, backend.substr(7), options);
+    return make_layout_predictor(forest, backend.substr(7), std::move(score),
+                                 options);
   }
   if (backend == "quant:affine") {
-    return make_quant_affine_score_predictor(m, options);
+    return make_quant_affine_predictor(forest, std::move(score), options);
   }
   if (backend == "jit:layout") {
-    return make_layout_jit_score_predictor(m, options);
+    return make_layout_jit_predictor(forest, std::move(score), options);
   }
-#ifdef FLINT_LEGACY_JIT
-  if (backend.rfind("jit:", 0) == 0 && is_known_backend(backend)) {
-    // The legacy code generators emit class-returning classify() functions
-    // only; for additive leaf-value models they fall back to the encoded
-    // FLInt interpreter, the name recording the fallback.
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Encoded, options.block_size,
-        "encoded(fallback:" + std::string(backend) + ")");
-  }
-#endif
   throw_unknown_backend(backend);
 }
 
@@ -1688,6 +1304,35 @@ void require_substitutable(const trees::Forest<T>& forest) {
   }
 }
 
+/// make_backend plus what both public factories apply once on the outermost
+/// predictor: the ParallelPredictor wrap and the missing policy.
+template <typename T>
+std::unique_ptr<Predictor<T>> make_served(const trees::Forest<T>& forest,
+                                          std::optional<ScoreSpec<T>> score,
+                                          std::string_view backend,
+                                          const PredictorOptions& options,
+                                          const MissingPolicy& policy) {
+  auto predictor = make_backend(forest, std::move(score), backend, options);
+  if (options.threads != 1) {
+    // The parallel chunk must be at least the cache block, or the chunking
+    // would silently cap the blocked backends' block_size.
+    predictor = std::make_unique<ParallelPredictor<T>>(
+        std::move(predictor), options.threads,
+        std::max<std::size_t>(options.block_size, 256));
+  }
+  predictor->set_missing_policy(policy);
+  return predictor;
+}
+
+/// A forest carrying default directions or categorical splits routes NaN
+/// itself; admit it.
+template <typename T>
+MissingPolicy forest_missing_policy(const trees::Forest<T>& forest) {
+  MissingPolicy policy;
+  policy.allow_nan = forest.has_special_splits();
+  return policy;
+}
+
 }  // namespace
 
 template <typename T>
@@ -1697,98 +1342,31 @@ std::unique_ptr<Predictor<T>> make_predictor(const model::ForestModel<T>& model,
   if (const std::string err = model.validate(); !err.empty()) {
     throw std::invalid_argument("make_predictor: invalid model: " + err);
   }
-  std::unique_ptr<Predictor<T>> predictor;
+  // Majority-vote models ARE v1 forests semantically; every backend serves
+  // them unchanged.  Additive leaf-value models carry a ScoreSpec.
+  std::optional<ScoreSpec<T>> score;
+  MissingPolicy policy;
   if (model.is_vote()) {
-    // Majority-vote models ARE v1 forests semantically; every backend —
-    // including the real jit:* code paths — serves them unchanged.
-    predictor = make_predictor(model.forest, backend, options);
+    policy = forest_missing_policy(model.forest);
   } else {
-    predictor = make_score_predictor(model, backend, options);
-    if (options.threads != 1) {
-      predictor = std::make_unique<ParallelPredictor<T>>(
-          std::move(predictor), options.threads,
-          std::max<std::size_t>(options.block_size, 256));
-    }
+    score = ScoreSpec<T>::from(model);
   }
   if (model.handles_missing) {
-    MissingPolicy policy;
+    policy = MissingPolicy{};
     policy.allow_nan = true;
     policy.zero_as_missing = model.zero_as_missing;
     policy.substitute_nan = !model.forest.has_special_splits();
     if (policy.substitute_nan) require_substitutable(model.forest);
-    predictor->set_missing_policy(policy);
   }
-  return predictor;
+  return make_served(model.forest, std::move(score), backend, options, policy);
 }
 
 template <typename T>
 std::unique_ptr<Predictor<T>> make_predictor(const trees::Forest<T>& forest,
                                              std::string_view backend,
                                              const PredictorOptions& options) {
-  std::unique_ptr<Predictor<T>> predictor;
-  if (backend == "reference") {
-    predictor = std::make_unique<ReferencePredictor<T>>(forest);
-  } else if (backend == "float") {
-    predictor =
-        std::make_unique<FloatEnginePredictor<T>>(forest, options.block_size);
-  } else if (backend == "flint" || backend == "encoded") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Encoded, options.block_size);
-  } else if (backend == "theorem1") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Theorem1, options.block_size);
-  } else if (backend == "theorem2") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Theorem2, options.block_size);
-  } else if (backend == "radix") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::RadixKey, options.block_size);
-  } else if (backend == "simd:flint") {
-    predictor = std::make_unique<SimdPredictor<T>>(
-        forest, exec::simd::SimdMode::Flint, options.block_size);
-  } else if (backend == "simd:float") {
-    predictor = std::make_unique<SimdPredictor<T>>(
-        forest, exec::simd::SimdMode::Float, options.block_size);
-  } else if (backend.rfind("layout:", 0) == 0) {
-    predictor = make_layout_predictor(forest, backend.substr(7), options);
-  } else if (backend == "quant:affine") {
-    predictor = make_quant_affine_predictor(forest, options);
-  } else if (backend == "jit:layout") {
-    // Generated from the same compact image the layout engine executes —
-    // NaN default directions and categorical masks are generated code, so
-    // special forests are served natively, never via interpreter fallback.
-    predictor = make_layout_jit_predictor(forest, options);
-#ifdef FLINT_LEGACY_JIT
-  } else if (backend.rfind("jit:", 0) == 0 && is_known_backend(backend)) {
-    if (forest.has_special_splits()) {
-      // The legacy code generators know nothing of default directions or
-      // categorical bitsets and would mis-route NaN; such forests are
-      // served through the encoded interpreter, the name recording the
-      // fallback.
-      predictor = std::make_unique<FlintEnginePredictor<T>>(
-          forest, exec::FlintVariant::Encoded, options.block_size,
-          "encoded(fallback:" + std::string(backend) + ")");
-    } else {
-      predictor = make_jit_predictor(forest, backend.substr(4), options);
-    }
-#endif
-  } else {
-    throw_unknown_backend(backend);
-  }
-  if (options.threads != 1) {
-    // The parallel chunk must be at least the cache block, or the chunking
-    // would silently cap the blocked backends' block_size.
-    predictor = std::make_unique<ParallelPredictor<T>>(
-        std::move(predictor), options.threads,
-        std::max<std::size_t>(options.block_size, 256));
-  }
-  if (forest.has_special_splits()) {
-    // A forest carrying default directions routes NaN itself; admit it.
-    MissingPolicy policy;
-    policy.allow_nan = true;
-    predictor->set_missing_policy(policy);
-  }
-  return predictor;
+  return make_served<T>(forest, std::nullopt, backend, options,
+                        forest_missing_policy(forest));
 }
 
 template class Predictor<float>;

@@ -45,7 +45,6 @@
 #include "jit/options.hpp"
 #include "model/forest_model.hpp"
 #include "trees/forest.hpp"
-#include "trees/tree_stats.hpp"
 
 namespace flint::predict {
 
@@ -216,9 +215,6 @@ struct PredictorOptions {
   unsigned threads = 1;
   /// Compiler settings for the "jit:" backends.
   jit::JitOptions jit;
-  /// Per-tree branch statistics; required by the legacy "jit:cags-*"
-  /// backends (FLINT_LEGACY_JIT builds only).
-  std::span<const trees::BranchStats> branch_stats;
 };
 
 /// Builds a predictor for `backend` from a trained forest.  The forest does
@@ -232,10 +228,6 @@ struct PredictorOptions {
 ///   flint | encoded           FlintForestEngine/Encoded, blocked batch
 ///   theorem1 | theorem2       runtime Theorem formulations, blocked batch
 ///   radix                     RadixKey remap engine, blocked batch
-///   simd:flint                SimdForestEngine, lockstep lane traversal
-///                             with FLInt integer compares (AVX2/NEON when
-///                             built and supported, scalar lanes otherwise)
-///   simd:float                SimdForestEngine, hardware-float compares
 ///   layout:auto               LayoutForestEngine behind the LayoutPlan
 ///                             auto-tuner (exec/layout/plan.hpp): compact
 ///                             node width + hot-slab placement + traversal
@@ -267,9 +259,9 @@ struct PredictorOptions {
 ///                             through a content-hash compile cache
 ///                             (jit/cache.hpp)
 ///
-/// The seven legacy flavors (jit:ifelse-*, jit:native-*, jit:cags-*,
-/// jit:asm-x86) are accepted only when the library is built with
-/// -DFLINT_LEGACY_JIT=ON; default builds reject them like any unknown name.
+/// The codegen emitters' other flavors (ifelse, native, cags, asm) are not
+/// predictor backends; the experiment harness wraps them in JitPredictor
+/// (predict/jit_predictor.hpp) directly.
 ///
 /// Forests with default-direction or categorical nodes
 /// (Forest::has_special_splits) are served with NaN routing compiled in and
@@ -290,8 +282,6 @@ template <typename T>
 ///   float/encoded/flint/
 ///   theorem1/theorem2/radix   blocked predict_tree accumulation over the
 ///                             matching interpreter engine
-///   simd:flint | simd:float   SimdForestEngine::predict_scores (lockstep
-///                             lane traversal, float-accumulate epilogue)
 ///   layout:auto|c16|c8|q4     LayoutForestEngine / Q4ForestEngine
 ///                             predict_scores (compact nodes; the leaf
 ///                             payload is a leaf-value row index, so the
@@ -320,8 +310,6 @@ template <typename T>
 
 /// Backend names that need no JIT toolchain (interpreters + reference).
 [[nodiscard]] std::vector<std::string> interpreter_backends();
-/// Backend names of the data-parallel SoA traversal engines (exec/simd).
-[[nodiscard]] std::vector<std::string> simd_backends();
 /// Backend names of the compact cache-aware layouts (exec/layout).
 [[nodiscard]] std::vector<std::string> layout_backends();
 /// Backend names of the quantized-execution configurations (quant:affine —

@@ -44,8 +44,6 @@
 //   packed.*              PackedNode image (Encoded engine) diverges from
 //                         the source forest (structure, threshold, leaf,
 //                         cat, orphan, root_range)
-//   soa.*                 SoaForest arrays diverge (shape, structure, leaf,
-//                         threshold, narrow_key, special)
 //   compact.*             CompactNode16/8 image diverges (roots, offset,
 //                         structure, key, leaf, cat, orphan, hot)
 //   q4.*                  4-byte quantized image diverges (roots, geometry,
@@ -54,6 +52,8 @@
 //                         must round-trip, affine keys must reproduce the
 //                         plan's own monotone map
 //   pack.exception        constructing an artifact threw
+//
+// Retired ids, never reused: soa.* (the SoA lane engine's arrays).
 //
 // verify_model is pure and allocation-bounded: it builds each packed form
 // through the same public APIs the predictor factory uses and walks them
@@ -72,8 +72,8 @@
 namespace flint::verify {
 
 /// One invariant violation.  `check` is a stable id from the catalog above;
-/// `artifact` names the packed form ("model", "tables", "packed", "soa",
-/// "c16", "c8", "q4", "file"); `tree`/`node` are indices when the violation is
+/// `artifact` names the packed form ("model", "tables", "packed", "c16",
+/// "c8", "q4", "file"); `tree`/`node` are indices when the violation is
 /// node-level (-1 otherwise; `node` indexes the artifact's own node array
 /// for packed forms, the source tree's for model-level checks).
 struct Diagnostic {
@@ -102,8 +102,8 @@ struct Report {
 };
 
 /// Verifies a ForestModel plus every packed artifact built from it
-/// (PackedNode image, SoaForest + narrow keys, CompactNode16/8 and the
-/// 4-byte quantized Q4Forest at hot_depth 0 and 4, rank tables).  Packed artifacts are only attempted
+/// (PackedNode image, CompactNode16/8 and the 4-byte quantized Q4Forest at
+/// hot_depth 0 and 4, rank tables).  Packed artifacts are only attempted
 /// when the model-level checks pass — their constructors assume a
 /// structurally valid forest.
 template <typename T>

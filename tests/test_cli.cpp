@@ -111,8 +111,9 @@ TEST_F(CliWorkflow, GenTrainPredictInspectCodegen) {
 
 // Regression: predicting over an empty CSV (comment-only, so zero rows and
 // no learned column count) must report "n/a", not divide by zero or trip
-// the feature-width check; simd backends included in the engine sweep.
-TEST_F(CliWorkflow, PredictEmptyDatasetAndSimdEngines) {
+// the feature-width check.  Retired engine names and the retired
+// --train-data flag fail on both the empty and the regular path.
+TEST_F(CliWorkflow, PredictEmptyDatasetAndRetiredEngines) {
   ASSERT_EQ(run_cli({"gen", "--dataset", "wine", "--rows", "80", "--out", csv_})
                 .code, 0);
   ASSERT_EQ(run_cli({"train", "--data", csv_, "--trees", "2", "--depth", "3",
@@ -130,13 +131,24 @@ TEST_F(CliWorkflow, PredictEmptyDatasetAndSimdEngines) {
   auto bad = run_cli({"predict", "--model", model_, "--data", empty_csv,
                       "--engine", "warp"});
   EXPECT_EQ(bad.code, 2);
-  // The simd backends are reachable from the shell.
-  for (const char* engine : {"simd:flint", "simd:float"}) {
-    auto predict = run_cli({"predict", "--model", model_, "--data", csv_,
-                            "--engine", engine, "--threads", "2"});
-    ASSERT_EQ(predict.code, 0) << engine << ": " << predict.err;
-    EXPECT_NE(predict.out.find("accuracy"), std::string::npos);
+  // Retired backends are unknown names, on both paths.
+  for (const std::string& data : {empty_csv, csv_}) {
+    auto retired = run_cli({"predict", "--model", model_, "--data", data,
+                            "--engine", "simd:flint"});
+    EXPECT_NE(retired.code, 0) << data;
+    EXPECT_NE(retired.err.find("unknown backend"), std::string::npos)
+        << retired.err;
   }
+  // --train-data only fed the retired jit:cags-* backends; predict no
+  // longer accepts it (codegen still does).
+  auto stats_flag = run_cli({"predict", "--model", model_, "--data", csv_,
+                             "--train-data", csv_});
+  EXPECT_NE(stats_flag.code, 0);
+  // The threaded compact-layout path is reachable from the shell.
+  auto threaded = run_cli({"predict", "--model", model_, "--data", csv_,
+                           "--engine", "layout:auto", "--threads", "2"});
+  ASSERT_EQ(threaded.code, 0) << threaded.err;
+  EXPECT_NE(threaded.out.find("accuracy"), std::string::npos);
 }
 
 // The serve subcommand speaks a line protocol over the injected input

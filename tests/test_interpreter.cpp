@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "data/split.hpp"
 #include "data/synth.hpp"
 #include "exec/interpreter.hpp"
 #include "trees/forest.hpp"
+#include "trees/serialize.hpp"
 
 namespace {
 
@@ -145,6 +148,26 @@ TEST(Engines, EmptyForestThrows) {
   EXPECT_THROW((FlintForestEngine<float>(empty, FlintVariant::Encoded)),
                std::invalid_argument);
   EXPECT_THROW((FloatForestEngine<float>(empty)), std::invalid_argument);
+}
+
+// The engines index vote rows by leaf class with no hot-path bounds check,
+// so a model whose header understates num_classes (constructible by hand
+// and reachable through read_forest) must be rejected at pack time instead
+// of writing past the vote buffers — by both interpreter engines, and by
+// read_forest outright, which also covers the jit backends (their generated
+// code indexes the same vote array with no engine-side pack step).
+TEST(Engines, OutOfRangeLeafClassRejectedAtPackTime) {
+  flint::trees::Tree<float> tree(1);
+  const auto root = tree.add_split(0, 0.0f);
+  tree.link(root, tree.add_leaf(0), tree.add_leaf(5));
+  const flint::trees::Forest<float> lying({tree}, /*num_classes=*/2);
+  EXPECT_THROW(FlintForestEngine<float>(lying, FlintVariant::Encoded),
+               std::invalid_argument);
+  EXPECT_THROW(FloatForestEngine<float>{lying}, std::invalid_argument);
+  std::stringstream buf;
+  flint::trees::write_forest(buf, lying);
+  EXPECT_THROW((void)flint::trees::read_forest<float>(buf),
+               std::runtime_error);
 }
 
 TEST(Engines, VariantNames) {

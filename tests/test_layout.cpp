@@ -21,7 +21,6 @@
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
-#include "exec/simd/soa.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 #include "trees/tree_stats.hpp"
@@ -497,36 +496,6 @@ TEST(CacheProbe, DetectNeverReturnsZeroSizes) {
   EXPECT_GE(info.llc_bytes, std::size_t{512} << 10);
   EXPECT_LE(info.llc_bytes, std::size_t{1} << 30);
   EXPECT_GE(info.llc_bytes, info.l2_bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Narrowed SoA keys decide exactly like the unified SIMD compare.
-// ---------------------------------------------------------------------------
-
-TEST_F(LayoutEngine, SoaNarrowKeysMatchUnifiedCompare) {
-  flint::exec::simd::SoaForest<float> soa(forest_);
-  EXPECT_TRUE(soa.narrow_key.empty());
-  soa.build_narrow_keys(tables_);
-  ASSERT_EQ(soa.narrow_key.size(), soa.node_count());
-
-  const auto features = adversarial_features(64, 17);
-  for (std::size_t n = 0; n < soa.node_count(); ++n) {
-    if (soa.feature[n] < 0) {
-      // Leaves mirror the class id.
-      EXPECT_EQ(soa.narrow_key[n],
-                static_cast<std::int32_t>(soa.threshold[n]));
-      continue;
-    }
-    const auto& table =
-        tables_.features[static_cast<std::size_t>(soa.feature[n])];
-    for (const float x : features) {
-      const auto xi = flint::core::si_bits(x);
-      const bool unified = (xi ^ soa.xor_mask[n]) <= soa.threshold[n];
-      const bool narrow = table.rank(x) <= soa.narrow_key[n];
-      ASSERT_EQ(unified, narrow)
-          << "node " << n << " x=" << x << " split=" << soa.split[n];
-    }
-  }
 }
 
 TEST(LayoutDouble, DoubleWidthEnginesMatchForestPredict) {

@@ -2,7 +2,7 @@
 // categorical splits: seeded random (forest, input) pairs — NaN bit
 // patterns, signed zeros, denormals, infinities, exact split hits,
 // categorical member/non-member/out-of-range values — must classify
-// bit-identically on EVERY backend (interpreters, simd:*, layout:*),
+// bit-identically on EVERY backend (interpreters, layout:*),
 // through predict_one, and under a ParallelPredictor, where "identical"
 // means equal to a naive double-precision IEEE oracle written here from
 // the trees/tree.hpp missing contract alone (no FLInt integer form, no
@@ -264,7 +264,6 @@ std::vector<float> adversarial_inputs(const Forest<float>& forest,
 
 std::vector<std::string> vote_backends() {
   std::vector<std::string> names = flint::predict::interpreter_backends();
-  for (const auto& n : flint::predict::simd_backends()) names.push_back(n);
   for (const auto& n : flint::predict::layout_backends()) names.push_back(n);
   return names;
 }
@@ -563,7 +562,7 @@ TEST(MissingGate, FlaglessMissingModelsSubstituteNaNAtTheBoundary) {
   model.forest = flagless_stump();
   model.leaf_kind = LeafKind::ClassId;
   model.handles_missing = true;
-  for (const char* backend : {"encoded", "simd:flint", "layout:auto"}) {
+  for (const char* backend : {"encoded", "layout:auto"}) {
     const auto predictor = make_predictor(model, backend);
     EXPECT_TRUE(predictor->missing_policy().allow_nan) << backend;
     EXPECT_TRUE(predictor->missing_policy().substitute_nan) << backend;
@@ -642,11 +641,6 @@ TEST(MissingGate, JitLayoutServesSpecialForestsNatively) {
     ASSERT_EQ(out[s], oracle_vote(forest, features.data() + s * cols))
         << "sample " << s;
   }
-#ifdef FLINT_LEGACY_JIT
-  // The retired flavors never learned NaN routing; they still fall back.
-  const auto legacy = make_predictor(forest, "jit:ifelse-flint");
-  EXPECT_EQ(legacy->name(), "encoded(fallback:jit:ifelse-flint)");
-#endif
   // Unknown jit names still fail fast instead of silently falling back.
   EXPECT_THROW((void)make_predictor(forest, "jit:warp"),
                std::invalid_argument);

@@ -2,7 +2,7 @@
 // trip, the external-model loaders (XGBoost JSON / LightGBM text / sklearn
 // JSON) with their bit-exact threshold transforms, the vendored fixture
 // gates (convert + reload + reproduce committed reference predictions
-// through reference, simd:flint and layout:auto), and predict_scores
+// through reference, encoded and layout:auto), and predict_scores
 // property tests against explicit per-tree accumulation across every
 // score backend.
 #include <gtest/gtest.h>
@@ -505,8 +505,7 @@ TEST_P(FixtureGate, ConvertReloadAndMatchReference) {
     ASSERT_EQ(expected_classes.size(), n);
   }
 
-  for (const char* backend : {"reference", "encoded", "simd:flint",
-                              "layout:auto"}) {
+  for (const char* backend : {"reference", "encoded", "layout:auto"}) {
     const auto predictor = predict::make_predictor(back, backend);
     std::vector<float> scores(n * k);
     predictor->predict_scores(features, n, scores);
@@ -552,8 +551,7 @@ TEST(PredictScores, AllBackendsMatchPerTreeAccumulation) {
     const auto expected = manual_scores(m, rows, n);
     for (const char* backend :
          {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-          "simd:flint", "simd:float", "layout:auto", "layout:c16",
-          "jit:layout"}) {
+          "layout:auto", "layout:c16", "jit:layout"}) {
       const auto predictor = predict::make_predictor(m, backend);
       ASSERT_TRUE(predictor->supports_scores()) << backend;
       EXPECT_EQ(predictor->num_outputs(), k) << backend;
@@ -575,12 +573,6 @@ TEST(PredictScores, JitLayoutServesScoresNatively) {
   const auto m = make_score_model(1, model::Link::Sigmoid);
   const auto predictor = predict::make_predictor(m, "jit:layout");
   EXPECT_EQ(predictor->name(), "jit:layout");
-#ifdef FLINT_LEGACY_JIT
-  // The retired flavors only emit classify(); score models fall back.
-  const auto legacy = predict::make_predictor(m, "jit:native-flint");
-  EXPECT_NE(legacy->name().find("fallback"), std::string::npos)
-      << legacy->name();
-#endif
   EXPECT_THROW((void)predict::make_predictor(m, "jit:nonsense"),
                std::invalid_argument);
 }
@@ -590,8 +582,7 @@ TEST(PredictScores, ClassesAgreeWithScoreReduction) {
   const std::size_t n = 64;
   const auto rows = sample_rows(m, n);
   const auto scores = manual_scores(m, rows, n);
-  for (const char* backend : {"reference", "encoded", "simd:flint",
-                              "layout:auto"}) {
+  for (const char* backend : {"reference", "encoded", "layout:auto"}) {
     const auto predictor = predict::make_predictor(m, backend);
     std::vector<std::int32_t> classes(n);
     predictor->predict_batch(rows, n, classes);

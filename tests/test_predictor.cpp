@@ -17,7 +17,6 @@
 #include "data/synth.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
-#include "trees/tree_stats.hpp"
 
 namespace {
 
@@ -77,7 +76,6 @@ class TrainedForest : public ::testing::Test {
     opt.tree.max_depth = 9;
     opt.tree.max_features = flint::trees::TrainOptions::kSqrtFeatures;
     forest_ = flint::trees::train_forest(split_.train, opt);
-    stats_ = flint::trees::collect_branch_stats(forest_, split_.train);
   }
 
   /// Per-sample Forest::predict over a flat feature matrix — the reference.
@@ -92,7 +90,6 @@ class TrainedForest : public ::testing::Test {
 
   flint::data::TrainTestSplit<float> split_;
   flint::trees::Forest<float> forest_;
-  std::vector<flint::trees::BranchStats> stats_;
 };
 
 class BackendEquivalence
@@ -100,9 +97,7 @@ class BackendEquivalence
       public ::testing::WithParamInterface<std::string> {};
 
 TEST_P(BackendEquivalence, BatchMatchesForestPredictOnAdversarialInputs) {
-  PredictorOptions opt;
-  opt.branch_stats = stats_;  // needed by jit:cags-*
-  const auto predictor = make_predictor(forest_, GetParam(), opt);
+  const auto predictor = make_predictor(forest_, GetParam());
   EXPECT_EQ(predictor->num_classes(), forest_.num_classes());
   EXPECT_EQ(predictor->feature_count(), forest_.feature_count());
 
@@ -138,31 +133,14 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return info.param; });
 
 INSTANTIATE_TEST_SUITE_P(
-    SimdBackends, BackendEquivalence,
-    ::testing::Values("simd:flint", "simd:float"),
-    [](const auto& info) { return info.param.substr(5); });
-
-INSTANTIATE_TEST_SUITE_P(
     LayoutBackends, BackendEquivalence,
     ::testing::Values("layout:auto", "layout:c16", "layout:c8", "layout:q4"),
     [](const auto& info) { return info.param.substr(7); });
 
 INSTANTIATE_TEST_SUITE_P(
     JitBackends, BackendEquivalence,
-#ifdef FLINT_LEGACY_JIT
-    ::testing::Values("jit:layout", "jit:ifelse-float", "jit:ifelse-flint",
-                      "jit:native-float", "jit:native-flint", "jit:cags-float",
-                      "jit:cags-flint", "jit:asm-x86"),
-#else
     ::testing::Values("jit:layout"),
-#endif
-    [](const auto& info) {
-      std::string name = info.param.substr(4);
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    [](const auto& info) { return info.param.substr(4); });
 
 TEST_F(TrainedForest, BlockSizeDoesNotChangeResults) {
   const std::size_t n = 523;  // prime: exercises every partial-block path
@@ -173,8 +151,8 @@ TEST_F(TrainedForest, BlockSizeDoesNotChangeResults) {
     PredictorOptions opt;
     opt.block_size = block;
     for (const char* backend :
-         {"float", "encoded", "radix", "simd:flint", "simd:float",
-          "layout:auto", "layout:c16", "layout:c8", "layout:q4"}) {
+         {"float", "encoded", "radix", "layout:auto", "layout:c16",
+          "layout:c8", "layout:q4"}) {
       const auto predictor = make_predictor(forest_, backend, opt);
       std::vector<std::int32_t> out(n);
       predictor->predict_batch(features, n, out);
@@ -224,7 +202,7 @@ TEST_F(TrainedForest, ParallelViaFactoryAndRepeatedBatches) {
 // dispatched to pool workers, and the output span untouched.
 TEST_F(TrainedForest, EmptyBatchIsNoOp) {
   for (const char* backend :
-       {"reference", "encoded", "simd:flint", "layout:auto"}) {
+       {"reference", "encoded", "layout:auto"}) {
     PredictorOptions opt;
     const auto predictor = make_predictor(forest_, backend, opt);
     std::vector<float> no_features;
@@ -251,7 +229,7 @@ TEST_F(TrainedForest, EmptyBatchIsNoOp) {
 TEST_F(TrainedForest, NanFeaturesAreRejected) {
   const std::size_t cols = forest_.feature_count();
   for (const char* backend :
-       {"reference", "encoded", "simd:flint", "layout:auto", "layout:q4"}) {
+       {"reference", "encoded", "layout:auto", "layout:q4"}) {
     const auto predictor = make_predictor(forest_, backend);
     std::vector<float> features(cols * 3, 1.0f);
     features[cols + 1] = std::numeric_limits<float>::quiet_NaN();
@@ -345,11 +323,6 @@ TEST_F(TrainedForest, UnknownBackendThrowsWithVocabulary) {
     EXPECT_NE(message.find("warp"), std::string::npos);
     EXPECT_NE(message.find("theorem1"), std::string::npos) << message;
   }
-#ifdef FLINT_LEGACY_JIT
-  // jit:cags-* without branch stats is rejected up front.
-  EXPECT_THROW((void)make_predictor(forest_, "jit:cags-flint"),
-               std::invalid_argument);
-#else
   // Retired flavors are unknown names; the error steers to jit:layout.
   try {
     (void)make_predictor(forest_, "jit:cags-flint");
@@ -358,7 +331,6 @@ TEST_F(TrainedForest, UnknownBackendThrowsWithVocabulary) {
     EXPECT_NE(std::string(e.what()).find("jit:layout"), std::string::npos)
         << e.what();
   }
-#endif
 }
 
 TEST_F(TrainedForest, UnknownBackendSuggestsNearestName) {
@@ -385,14 +357,13 @@ TEST_F(TrainedForest, UnknownBackendSuggestsNearestName) {
 // ---------------------------------------------------------------------------
 // Degenerate ensembles: single-node (leaf-only root) trees, single-tree
 // forests, and a forest whose every tree predicts the same class, checked
-// bit-identical to Forest::predict across the interpreter, SoA SIMD and
+// bit-identical to Forest::predict across the interpreter and
 // compact-layout backend families.
 // ---------------------------------------------------------------------------
 
 /// Backends every degenerate shape must survive (jit:* is out of scope for
 /// this satellite; the codegen suites cover it on regular shapes).
-const char* const kDegenerateBackends[] = {"encoded",    "simd:flint",
-                                           "simd:float", "layout:auto",
+const char* const kDegenerateBackends[] = {"encoded",    "layout:auto",
                                            "layout:c16", "layout:c8",
                                            "layout:q4"};
 
@@ -490,8 +461,8 @@ TEST(PredictorDouble, DoubleWidthBackendsMatchForestPredict) {
   const auto forest = flint::trees::train_forest(full, opt);
   for (const char* backend :
        {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-        "simd:flint", "simd:float", "layout:auto", "layout:c16", "layout:c8",
-        "layout:q4", "jit:layout"}) {
+        "layout:auto", "layout:c16", "layout:c8", "layout:q4",
+        "jit:layout"}) {
     const auto predictor = make_predictor(forest, backend);
     std::vector<std::int32_t> out(full.rows());
     predictor->predict_batch(full, out);
@@ -573,25 +544,16 @@ TEST(AvailableParallelism, PositiveAndCappedByHardware) {
 TEST(PredictorNames, BackendListsAreConsistent) {
   const auto interp = flint::predict::interpreter_backends();
   EXPECT_EQ(interp.size(), 6u);
-  const auto simd = flint::predict::simd_backends();
-  EXPECT_EQ(simd.size(), 2u);
   const auto layout = flint::predict::layout_backends();
   EXPECT_EQ(layout.size(), 4u);
   const auto quant = flint::predict::quant_backends();
   EXPECT_EQ(quant.size(), 1u);
   EXPECT_EQ(quant.front(), "quant:affine");
   const auto jit = flint::predict::jit_backends();
-#ifdef FLINT_LEGACY_JIT
-  EXPECT_EQ(jit.size(), 8u);  // jit:layout + the seven retired flavors
-#else
   EXPECT_EQ(jit.size(), 1u);
   EXPECT_EQ(jit.front(), "jit:layout");
-#endif
   const auto help = flint::predict::backend_help();
   for (const auto& name : interp) {
-    EXPECT_NE(help.find(name), std::string::npos) << name;
-  }
-  for (const auto& name : simd) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
   }
   for (const auto& name : layout) {
@@ -605,6 +567,30 @@ TEST(PredictorNames, BackendListsAreConsistent) {
   for (const auto& name : quant) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
     EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
+  }
+
+  // Retired backends — the deleted SoA lane engines and the seven legacy
+  // codegen flavors — are unknown names: rejected by the vocabulary check
+  // and by the factory, whose message lists the live vocabulary.
+  const auto data =
+      flint::data::generate<float>(flint::data::wine_spec(), 5, 200);
+  flint::trees::ForestOptions fopt;
+  fopt.n_trees = 2;
+  fopt.tree.max_depth = 4;
+  const auto forest = flint::trees::train_forest(data, fopt);
+  for (const char* retired :
+       {"simd:flint", "simd:float", "jit:ifelse-float", "jit:ifelse-flint",
+        "jit:native-float", "jit:native-flint", "jit:cags-float",
+        "jit:cags-flint", "jit:asm-x86"}) {
+    EXPECT_FALSE(flint::predict::is_known_backend(retired)) << retired;
+    EXPECT_EQ(help.find(retired), std::string::npos) << retired;
+    try {
+      (void)make_predictor(forest, retired);
+      ADD_FAILURE() << retired << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(help), std::string::npos)
+          << retired << ": " << e.what();
+    }
   }
 }
 

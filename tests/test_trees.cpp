@@ -2,10 +2,14 @@
 // serialization and branch statistics.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "core/flint.hpp"
 #include "data/synth.hpp"
+#include "exec/interpreter.hpp"
+#include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 #include "trees/serialize.hpp"
 #include "trees/train.hpp"
@@ -358,6 +362,58 @@ TEST(Serialize, ErrorsCarryLineNumbersAndTokens) {
   const std::string header_err = forest_parse_error(bad_header);
   EXPECT_NE(header_err.find("line 1"), std::string::npos) << header_err;
   EXPECT_NE(header_err.find("woods"), std::string::npos) << header_err;
+}
+
+/// Split values the FLInt encodings must survive: signed zeros, denormals,
+/// the normal extremes and both infinities.
+std::vector<float> adversarial_splits() {
+  using L = std::numeric_limits<float>;
+  return {0.0f,       -0.0f,        L::denorm_min(), -L::denorm_min(),
+          L::min(),   -L::min(),    L::infinity(),   -L::infinity(),
+          L::max(),   L::lowest(),  1.5f,            -1.5f};
+}
+
+// The hex bit-pattern format must reproduce -0.0, denormals and infinities
+// exactly: the reloaded forest packs to the same encoded image, and the
+// encoded interpreter and the compact layout built from it still match
+// Forest::predict at every special value.
+TEST(Serialize, AdversarialThresholdsRoundTripBitExact) {
+  std::vector<Tree<float>> trees;
+  for (const float split : adversarial_splits()) {
+    Tree<float> tree(1);
+    const auto root = tree.add_split(0, split);
+    const auto l = tree.add_leaf(1);
+    const auto r = tree.add_leaf(0);
+    tree.link(root, l, r);
+    trees.push_back(tree);
+  }
+  const Forest<float> forest(std::move(trees), 2);
+  std::stringstream buf;
+  flint::trees::write_forest(buf, forest);
+  const auto reloaded = flint::trees::read_forest<float>(buf);
+  ASSERT_EQ(reloaded.size(), forest.size());
+  for (std::size_t t = 0; t < forest.size(); ++t) {
+    const float original = forest.tree(t).node(0).split;
+    const float back = reloaded.tree(t).node(0).split;
+    EXPECT_EQ(flint::core::si_bits(original), flint::core::si_bits(back))
+        << "split " << original << " did not round-trip bit-exactly";
+  }
+  using flint::exec::FlintForestEngine;
+  using flint::exec::FlintVariant;
+  const FlintForestEngine<float> before(forest, FlintVariant::Encoded);
+  const FlintForestEngine<float> after(reloaded, FlintVariant::Encoded);
+  ASSERT_EQ(after.nodes().size(), before.nodes().size());
+  for (std::size_t i = 0; i < before.nodes().size(); ++i) {
+    EXPECT_EQ(after.nodes()[i].payload, before.nodes()[i].payload) << i;
+    EXPECT_EQ(after.nodes()[i].flags, before.nodes()[i].flags) << i;
+  }
+  for (const char* backend : {"encoded", "layout:auto"}) {
+    const auto predictor = flint::predict::make_predictor(reloaded, backend);
+    for (const float x : adversarial_splits()) {
+      EXPECT_EQ(predictor->predict_one({&x, 1}), forest.predict({&x, 1}))
+          << backend << " x=" << x;
+    }
+  }
 }
 
 TEST(TreeStats, BranchProbabilitiesSumCorrectly) {

@@ -119,7 +119,7 @@ TEST(VerifyClean, HandBuiltModelPasses) {
 
 TEST(VerifyClean, InfiniteSplitsAreOrderedAndAccepted) {
   // +-inf thresholds are legitimate (always-taken splits; the adversarial
-  // round-trip in test_simd.cpp serializes them bit-exactly) — only NaN has
+  // round-trip in test_trees.cpp serializes them bit-exactly) — only NaN has
   // no integer rank.  The verifier must not reject what the engines handle.
   for (const float inf : {std::numeric_limits<float>::infinity(),
                           -std::numeric_limits<float>::infinity()}) {
