@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "data/synth.hpp"
+#include "exec/artifacts/artifacts.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
 #include "harness/bench_json.hpp"
@@ -350,22 +351,23 @@ int main(int argc, char** argv) {
                                                    : "NOT MET on this host");
   }
   if (layout_q4_rate > 0) {
-    // ISSUE 10 gate: the 4-byte quantized image must beat what the auto
-    // tuner would pick WITHOUT the q4 rung (auto itself now selects q4 on
-    // this model, so the honest baseline is auto re-planned with
-    // fit.allow_q4 = false — which resolves to one of the pinned widths
-    // already constructed above).  Paired rounds + median ratio for the
-    // same drift-cancelling reasons as the jit gate.
-    flint::exec::layout::NarrowFit fit;
-    fit.ranks_fit_int16 = tables.fits_int16();
-    fit.feature_count = forest.feature_count();
-    fit.num_classes = forest.num_classes();
-    fit.allow_q4 = false;
-    const auto noq4_plan = flint::exec::layout::auto_plan(stats, fit, 256,
-                                                          cache);
-    const char* baseline_backend =
-        noq4_plan.width == flint::exec::layout::NodeWidth::C8 ? "layout:c8"
-                                                              : "layout:c16";
+    // q4 acceptance gate: the 4-byte quantized image must beat what the auto
+    // tuner would pick WITHOUT the q4 rung (auto itself may select q4 on
+    // this model, so the honest baseline is one of the pinned widths
+    // already constructed above).  Without the q4 rung the tuner keeps its
+    // plan when that is not q4 (never chosen, or demoted by the bundle); a
+    // q4 plan falls to c8 when c8 fits, since both rungs share the same
+    // cache-hostility test.  Paired rounds + median ratio for the same
+    // drift-cancelling reasons as the jit gate.
+    namespace layout = flint::exec::layout;
+    const flint::exec::artifacts::ExecArtifacts<float> art(forest, 256,
+                                                           cache);
+    const layout::NodeWidth planned = art.plan().width;
+    const bool c8_baseline =
+        planned == layout::NodeWidth::C8 ||
+        (planned == layout::NodeWidth::Q4 &&
+         layout::width_fits(layout::NodeWidth::C8, art.fit()));
+    const char* baseline_backend = c8_baseline ? "layout:c8" : "layout:c16";
     const flint::predict::Predictor<float>* q4_p = nullptr;
     const flint::predict::Predictor<float>* base_p = nullptr;
     for (std::size_t i = 0; i < backends.size(); ++i) {

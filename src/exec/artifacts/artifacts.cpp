@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/hash.hpp"
+#include "trees/tree_stats.hpp"
 
 namespace flint::exec::artifacts {
 
@@ -12,13 +13,15 @@ ExecArtifacts<T>::ExecArtifacts(const trees::Forest<T>& forest,
                                 std::size_t block_size,
                                 const layout::CacheInfo& cache,
                                 std::optional<layout::NodeWidth> force_width)
-    : forest_(&forest),
-      stats_(trees::forest_stats(forest)),
-      tables_(layout::build_key_tables(forest)) {
+    : forest_(&forest) {
+  // The stats feed only the planner, so they die with the constructor
+  // instead of staying resident while the images are packed.
+  const trees::ForestStats stats = trees::forest_stats(forest);
+  tables_ = layout::build_key_tables(forest);
   fit_.ranks_fit_int16 = tables_.fits_int16();
   fit_.feature_count = forest.feature_count();
   fit_.num_classes = forest.num_classes();
-  plan_ = layout::auto_plan(stats_, fit_, block_size, cache, force_width);
+  plan_ = layout::auto_plan(stats, fit_, block_size, cache, force_width);
   // An auto Q4 verdict is tentative: the pack-time bit budget and the
   // quantization contract (exact ranks, or threshold-preserving affine
   // maps) decide whether the 4-byte image may serve.  Pack it now; on any
@@ -27,72 +30,61 @@ ExecArtifacts<T>::ExecArtifacts(const trees::Forest<T>& forest,
     const layout::Q4Forest<T>* img = try_q4_at(plan_.hot_depth);
     if (img == nullptr || !(img->exact() || img->qplan.accuracy_contract())) {
       fit_.allow_q4 = false;
-      plan_ = layout::auto_plan(stats_, fit_, block_size, cache, force_width);
+      plan_ = layout::auto_plan(stats, fit_, block_size, cache, force_width);
     }
   }
 }
 
 template <typename T>
-const layout::CompactForest<T, layout::CompactNode16>*
-ExecArtifacts<T>::try_compact16_at(std::size_t hot_depth, std::string* why) {
-  auto it = c16_.find(hot_depth);
-  if (it == c16_.end()) {
+template <typename Img, typename Pack>
+const Img* ExecArtifacts<T>::cached(Cache<Img>& cache, layout::NodeWidth width,
+                                    std::size_t hot_depth, std::string* why,
+                                    Pack&& pack) {
+  auto it = cache.find(hot_depth);
+  if (it == cache.end()) {
     layout::LayoutPlan plan = plan_;
-    plan.width = layout::NodeWidth::C16;
+    plan.width = width;
     plan.hot_depth = hot_depth;
-    std::string reason;
-    auto packed = layout::try_pack<T, layout::CompactNode16>(*forest_, plan,
-                                                             tables_, &reason);
-    it = c16_.emplace(hot_depth, std::move(packed)).first;
-    c16_why_[hot_depth] = reason;
+    Cached<Img> entry;
+    entry.image = pack(plan, &entry.why);
+    it = cache.emplace(hot_depth, std::move(entry)).first;
   }
-  if (!it->second) {
-    if (why != nullptr) *why = c16_why_[hot_depth];
+  if (!it->second.image) {
+    if (why != nullptr) *why = it->second.why;
     return nullptr;
   }
-  return &*it->second;
+  return &*it->second.image;
+}
+
+template <typename T>
+const layout::CompactForest<T, layout::CompactNode16>*
+ExecArtifacts<T>::try_compact16_at(std::size_t hot_depth, std::string* why) {
+  return cached(c16_, layout::NodeWidth::C16, hot_depth, why,
+                [&](const layout::LayoutPlan& plan, std::string* reason) {
+                  return layout::try_pack<T, layout::CompactNode16>(
+                      *forest_, plan, tables_, reason);
+                });
 }
 
 template <typename T>
 const layout::CompactForest<T, layout::CompactNode8>*
 ExecArtifacts<T>::try_compact8_at(std::size_t hot_depth, std::string* why) {
-  auto it = c8_.find(hot_depth);
-  if (it == c8_.end()) {
-    layout::LayoutPlan plan = plan_;
-    plan.width = layout::NodeWidth::C8;
-    plan.hot_depth = hot_depth;
-    std::string reason;
-    auto packed = layout::try_pack<T, layout::CompactNode8>(*forest_, plan,
-                                                            tables_, &reason);
-    it = c8_.emplace(hot_depth, std::move(packed)).first;
-    c8_why_[hot_depth] = reason;
-  }
-  if (!it->second) {
-    if (why != nullptr) *why = c8_why_[hot_depth];
-    return nullptr;
-  }
-  return &*it->second;
+  return cached(c8_, layout::NodeWidth::C8, hot_depth, why,
+                [&](const layout::LayoutPlan& plan, std::string* reason) {
+                  return layout::try_pack<T, layout::CompactNode8>(
+                      *forest_, plan, tables_, reason);
+                });
 }
 
 template <typename T>
 const layout::Q4Forest<T>* ExecArtifacts<T>::try_q4_at(std::size_t hot_depth,
                                                        std::string* why) {
-  auto it = q4_.find(hot_depth);
-  if (it == q4_.end()) {
-    layout::LayoutPlan plan = plan_;
-    plan.width = layout::NodeWidth::Q4;
-    plan.hot_depth = hot_depth;
-    std::string reason;
-    auto packed = layout::try_pack_q4<T>(*forest_, plan, tables_,
-                                         /*force_affine=*/false, &reason);
-    it = q4_.emplace(hot_depth, std::move(packed)).first;
-    q4_why_[hot_depth] = reason;
-  }
-  if (!it->second) {
-    if (why != nullptr) *why = q4_why_[hot_depth];
-    return nullptr;
-  }
-  return &*it->second;
+  return cached(q4_, layout::NodeWidth::Q4, hot_depth, why,
+                [&](const layout::LayoutPlan& plan, std::string* reason) {
+                  return layout::try_pack_q4<T>(*forest_, plan, tables_,
+                                                /*force_affine=*/false,
+                                                reason);
+                });
 }
 
 template <typename T>
@@ -107,24 +99,27 @@ ExecArtifacts<T>::compact16() {
 }
 
 template <typename T>
-const layout::CompactForest<T, layout::CompactNode8>&
-ExecArtifacts<T>::compact8() {
-  std::string why;
-  const auto* packed = try_compact8_at(plan_.hot_depth, &why);
-  if (packed == nullptr) {
-    throw std::invalid_argument("ExecArtifacts::compact8: " + why);
+typename ExecArtifacts<T>::Image ExecArtifacts<T>::release_planned_image() {
+  const std::size_t depth = plan_.hot_depth;
+  // Extracting the cache node hands its image over without a copy.
+  const auto take = [depth](auto& cache) {
+    return Image(std::move(*cache.extract(depth).mapped().image));
+  };
+  std::string why = "the plan serves the wide interpreter";
+  switch (plan_.width) {
+    case layout::NodeWidth::C16:
+      if (try_compact16_at(depth, &why)) return take(c16_);
+      break;
+    case layout::NodeWidth::C8:
+      if (try_compact8_at(depth, &why)) return take(c8_);
+      break;
+    case layout::NodeWidth::Q4:
+      if (try_q4_at(depth, &why)) return take(q4_);
+      break;
+    case layout::NodeWidth::Wide:
+      break;
   }
-  return *packed;
-}
-
-template <typename T>
-const layout::Q4Forest<T>& ExecArtifacts<T>::q4() {
-  std::string why;
-  const auto* packed = try_q4_at(plan_.hot_depth, &why);
-  if (packed == nullptr) {
-    throw std::invalid_argument("ExecArtifacts::q4: " + why);
-  }
-  return *packed;
+  throw std::invalid_argument(why);
 }
 
 template <typename T>

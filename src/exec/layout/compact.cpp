@@ -634,45 +634,6 @@ void predict_batch_impl(const CompactForest<T, Node>& f,
 // ---------------------------------------------------------------------------
 
 template <typename T>
-LayoutForestEngine<T>::LayoutForestEngine(const trees::Forest<T>& forest,
-                                          const LayoutPlan& plan,
-                                          const KeyTableSet<T>& tables)
-    : plan_(plan) {
-  if (forest.empty()) {
-    throw std::invalid_argument("LayoutForestEngine: empty forest");
-  }
-  plan_.block_size = std::max<std::size_t>(plan_.block_size, 1);
-  plan_.interleave = std::clamp<std::size_t>(plan_.interleave, 1,
-                                             kMaxInterleave);
-  std::string why;
-  if (plan_.width == NodeWidth::C16) {
-    auto packed = try_pack<T, CompactNode16>(forest, plan_, tables, &why);
-    if (!packed) {
-      throw std::invalid_argument("LayoutForestEngine(c16): " + why);
-    }
-    node_bytes_ = sizeof(CompactNode16);
-    hot_nodes_ = packed->hot_nodes;
-    packed_ = std::move(*packed);
-  } else if (plan_.width == NodeWidth::C8) {
-    auto packed = try_pack<T, CompactNode8>(forest, plan_, tables, &why);
-    if (!packed) {
-      throw std::invalid_argument("LayoutForestEngine(c8): " + why);
-    }
-    node_bytes_ = sizeof(CompactNode8);
-    hot_nodes_ = packed->hot_nodes;
-    packed_ = std::move(*packed);
-  } else {
-    throw std::invalid_argument(
-        "LayoutForestEngine: Wide is the factory fallback, not an engine "
-        "width");
-  }
-  num_classes_ = forest.num_classes();
-  feature_count_ = forest.feature_count();
-  tree_count_ = forest.size();
-  node_count_ = forest.total_nodes();
-}
-
-template <typename T>
 template <typename Node>
 void LayoutForestEngine<T>::bind_packed(CompactForest<T, Node> packed) {
   if (packed.nodes.empty()) {

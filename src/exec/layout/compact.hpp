@@ -244,30 +244,25 @@ template <typename T>
 
 /// Packs `forest` per `plan` (width + hot_depth are consulted; Wide is not
 /// packable).  Returns std::nullopt and sets `why` when the model cannot be
-/// represented at this width (rank/feature/class overflow) — the factory
-/// then falls back to the next wider format.  `tables` is shared with the
-/// caller (built once per forest, reused across fallback attempts).
+/// represented at this width (rank/feature/class overflow).  `tables` is
+/// shared with the caller (exec/artifacts builds them once per forest and
+/// reuses them for every width and hot depth).
 template <typename T, typename Node>
 [[nodiscard]] std::optional<CompactForest<T, Node>> try_pack(
     const trees::Forest<T>& forest, const LayoutPlan& plan,
     const KeyTableSet<T>& tables, std::string* why = nullptr);
 
-/// Compact-layout execution engine: owns one packed forest at the plan's
-/// width and serves both traversal shapes.  The source Forest does not need
-/// to outlive it.  predict/predict_batch are const-thread-safe (all vote
-/// and key scratch is function-local), so ParallelPredictor can partition
-/// batches without cloning.
+/// Compact-layout execution engine: owns one packed forest (packed by
+/// try_pack — in production by exec/artifacts) and serves both traversal
+/// shapes.  The source Forest does not need to outlive it.
+/// predict/predict_batch are const-thread-safe (all vote and key scratch is
+/// function-local), so ParallelPredictor can partition batches without
+/// cloning.
 template <typename T>
 class LayoutForestEngine {
  public:
-  /// Packs with `plan` (width must be C16 or C8 — Wide is the factory's
-  /// fallback, not an engine mode).  Throws std::invalid_argument when the
-  /// forest is empty or not representable at the requested width.
-  LayoutForestEngine(const trees::Forest<T>& forest, const LayoutPlan& plan,
-                     const KeyTableSet<T>& tables);
-
-  /// Binds an already-packed image (exec/artifacts) without re-packing;
-  /// `plan.width` is overridden to match the image's node format.  Throws
+  /// Binds an already-packed image without re-packing; `plan.width` is
+  /// overridden to match the image's node format.  Throws
   /// std::invalid_argument on an empty image.
   LayoutForestEngine(CompactForest<T, CompactNode16> packed,
                      const LayoutPlan& plan);

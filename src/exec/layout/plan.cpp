@@ -215,8 +215,8 @@ LayoutPlan auto_plan(const trees::ForestStats& stats, const NarrowFit& fit,
     const bool remap_amortized = remap_cost * 4.0 < walk;
     // Narrow-width ladder, 4-byte first: q4 halves c8's image again and its
     // remap runs once per batch rather than once per block, so whenever c8
-    // would have been worth the remap, q4 dominates it.  The caller
-    // (predictor factory / ExecArtifacts) packs eagerly and demotes via
+    // would have been worth the remap, q4 dominates it.  ExecArtifacts —
+    // the only caller that plans images — packs eagerly and demotes via
     // fit.allow_q4 = false when the bit budget or the quantization
     // accuracy contract fails, so an auto Q4 plan that survives here is
     // only tentative until the pack succeeds.

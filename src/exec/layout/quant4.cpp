@@ -538,24 +538,6 @@ void q4_score_batch_impl(const Q4Forest<T>& f, const LayoutPlan& plan,
 // ---------------------------------------------------------------------------
 
 template <typename T>
-Q4ForestEngine<T>::Q4ForestEngine(const trees::Forest<T>& forest,
-                                  const LayoutPlan& plan,
-                                  const KeyTableSet<T>& tables,
-                                  bool force_affine)
-    : plan_(plan) {
-  plan_.width = NodeWidth::Q4;
-  plan_.block_size = std::max<std::size_t>(plan_.block_size, 1);
-  plan_.interleave =
-      std::clamp<std::size_t>(plan_.interleave, 1, kMaxInterleave);
-  std::string why;
-  auto packed = try_pack_q4(forest, plan_, tables, force_affine, &why);
-  if (!packed) {
-    throw std::invalid_argument("Q4ForestEngine: " + why);
-  }
-  packed_ = std::move(*packed);
-}
-
-template <typename T>
 Q4ForestEngine<T>::Q4ForestEngine(Q4Forest<T> packed, const LayoutPlan& plan)
     : plan_(plan), packed_(std::move(packed)) {
   if (packed_.nodes.empty()) {

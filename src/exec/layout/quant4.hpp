@@ -214,12 +214,9 @@ template <typename T>
 template <typename T>
 class Q4ForestEngine {
  public:
-  /// Packs with `plan` (width is forced to Q4).  Throws
-  /// std::invalid_argument when the forest is empty or not packable.
-  Q4ForestEngine(const trees::Forest<T>& forest, const LayoutPlan& plan,
-                 const KeyTableSet<T>& tables, bool force_affine = false);
-
-  /// Binds an already-packed image (exec/artifacts) without re-packing.
+  /// Binds an already-packed image (try_pack_q4 — in production via
+  /// exec/artifacts) without re-packing; `plan.width` is forced to Q4.
+  /// Throws std::invalid_argument on an empty image.
   Q4ForestEngine(Q4Forest<T> packed, const LayoutPlan& plan);
 
   [[nodiscard]] const LayoutPlan& plan() const noexcept { return plan_; }

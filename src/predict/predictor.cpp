@@ -14,6 +14,7 @@
 #include <thread>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "codegen/cgen_layout.hpp"
 #include "core/hash.hpp"
@@ -138,69 +139,106 @@ template void apply_missing_rewrites<double>(const MissingPolicy&,
                                              std::span<double>);
 
 template <typename T>
+void reject_nan(const MissingPolicy& policy, std::span<const T> features,
+                std::size_t width, std::string_view where,
+                std::string_view model_name) {
+  // Unless the model declares missing support, NaN features are rejected —
+  // the FLInt engines order NaN bit patterns instead of comparing
+  // unordered, so for legacy models NaN is the one input class where
+  // backends could silently diverge from Forest::predict.
+  if (policy.allow_nan) return;
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    if (std::isnan(features[i])) {
+      throw std::invalid_argument(
+          std::string(where) + ": NaN feature at sample " +
+          std::to_string(i / width) + ", feature " +
+          std::to_string(i % width) + " (" +
+          (model_name.empty() ? std::string("this model")
+                              : "model '" + std::string(model_name) + "'") +
+          " declares no missing-value support; see README \"NaN/zero "
+          "semantics\")");
+    }
+  }
+}
+
+template void reject_nan<float>(const MissingPolicy&, std::span<const float>,
+                                std::size_t, std::string_view,
+                                std::string_view);
+template void reject_nan<double>(const MissingPolicy&, std::span<const double>,
+                                 std::size_t, std::string_view,
+                                 std::string_view);
+
+namespace {
+
+/// The one input boundary of predict_batch and predict_scores: the shape
+/// of `features` and `out` (`per_sample` output values per sample), the
+/// missing gate, and the policy's boundary rewrites.  Missing-capable
+/// models admit NaN (routed per-node by the backends' special paths) after
+/// those rewrites.  Returns the data to dispatch.
+template <typename T>
+std::span<const T> admit(std::string_view where, const MissingPolicy& policy,
+                         std::size_t width, std::span<const T> features,
+                         std::size_t n_samples, std::size_t out_size,
+                         std::size_t per_sample, std::vector<T>& scratch) {
+  if (features.size() != n_samples * width) {
+    throw std::invalid_argument(
+        std::string(where) + ": feature span holds " + std::to_string(features.size()) +
+        " values, expected " + std::to_string(n_samples * width) + " (" +
+        std::to_string(n_samples) + " samples x " + std::to_string(width) +
+        " features)");
+  }
+  if (out_size < n_samples * per_sample) {
+    throw std::invalid_argument(
+        std::string(where) + ": output span holds " + std::to_string(out_size) +
+        " values, needs " + std::to_string(n_samples * per_sample) + " (" +
+        std::to_string(n_samples) + " samples x " +
+        std::to_string(per_sample) + " outputs)");
+  }
+  reject_nan<T>(policy, features, width, where);
+  return missing_transform<T>(policy, features, scratch);
+}
+
+/// A dataset's rows at the model width: its own storage when the widths
+/// match; otherwise the leading `width` values of every row compacted into
+/// `scratch` once, so a wider batch still flows through the blocked and
+/// parallel fast path instead of one re-validated predict_one per row.
+template <typename T>
+std::span<const T> model_rows(std::string_view where,
+                              const data::Dataset<T>& dataset,
+                              std::size_t width, std::vector<T>& scratch) {
+  if (dataset.cols() < width) {
+    throw std::invalid_argument(std::string(where) +
+                                ": dataset has fewer features than the model");
+  }
+  if (dataset.cols() == width) return dataset.values();
+  scratch.resize(dataset.rows() * width);
+  for (std::size_t r = 0; r < dataset.rows(); ++r) {
+    const auto row = dataset.row(r);
+    std::copy(row.begin(), row.begin() + width, scratch.begin() + r * width);
+  }
+  return scratch;
+}
+
+}  // namespace
+
+template <typename T>
 void Predictor<T>::predict_batch(std::span<const T> features,
                                  std::size_t n_samples,
                                  std::span<std::int32_t> out) const {
-  if (features.size() != n_samples * feature_count()) {
-    throw std::invalid_argument(
-        "predict_batch: feature span holds " + std::to_string(features.size()) +
-        " values, expected " + std::to_string(n_samples * feature_count()) +
-        " (" + std::to_string(n_samples) + " samples x " +
-        std::to_string(feature_count()) + " features)");
-  }
-  if (out.size() < n_samples) {
-    throw std::invalid_argument("predict_batch: output span too small");
-  }
-  if (n_samples == 0) return;
-  // Missing gate: unless the model declares missing support, NaN features
-  // are rejected — the FLInt engines order NaN bit patterns instead of
-  // comparing unordered, so for legacy models NaN is the one input class
-  // where backends could silently diverge from Forest::predict.
-  // Missing-capable models admit NaN (routed per-node by the backends'
-  // special paths) after the policy's boundary rewrites.
-  if (!missing_policy_.allow_nan) {
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (std::isnan(features[i])) {
-        throw std::invalid_argument(
-            "predict_batch: NaN feature at sample " +
-            std::to_string(i / feature_count()) + ", feature " +
-            std::to_string(i % feature_count()) +
-            " (this model declares no missing-value support; see README "
-            "\"NaN/zero semantics\")");
-      }
-    }
-  }
   std::vector<T> scratch;
   const std::span<const T> data =
-      missing_transform<T>(missing_policy_, features, scratch);
+      admit<T>("predict_batch", missing_policy_, feature_count(), features,
+               n_samples, out.size(), 1, scratch);
+  if (n_samples == 0) return;
   do_predict_batch(data.data(), n_samples, out.data());
 }
 
 template <typename T>
 void Predictor<T>::predict_batch(const data::Dataset<T>& dataset,
                                  std::span<std::int32_t> out) const {
-  if (dataset.cols() < feature_count()) {
-    throw std::invalid_argument(
-        "predict_batch: dataset has fewer features than the model");
-  }
-  if (out.size() < dataset.rows()) {
-    throw std::invalid_argument("predict_batch: output span too small");
-  }
-  if (dataset.cols() == feature_count()) {
-    predict_batch(dataset.values(), dataset.rows(), out);
-    return;
-  }
-  // Wider dataset: the row stride differs from the model width.  Compact
-  // the leading feature_count() values of every row into a tight matrix
-  // once, so the batch still flows through the blocked/parallel fast path
-  // instead of degrading to one re-validated predict_one per row.
-  const std::size_t cols = feature_count();
-  std::vector<T> compact(dataset.rows() * cols);
-  for (std::size_t r = 0; r < dataset.rows(); ++r) {
-    const auto row = dataset.row(r);
-    std::copy(row.begin(), row.begin() + cols, compact.begin() + r * cols);
-  }
-  predict_batch(compact, dataset.rows(), out);
+  std::vector<T> rows;
+  predict_batch(model_rows("predict_batch", dataset, feature_count(), rows),
+                dataset.rows(), out);
 }
 
 template <typename T>
@@ -213,64 +251,20 @@ void Predictor<T>::predict_scores(std::span<const T> features,
         "' exposes no scores (majority-vote model; build the predictor from "
         "an additive leaf-value ForestModel)");
   }
-  if (features.size() != n_samples * feature_count()) {
-    throw std::invalid_argument(
-        "predict_scores: feature span holds " +
-        std::to_string(features.size()) + " values, expected " +
-        std::to_string(n_samples * feature_count()) + " (" +
-        std::to_string(n_samples) + " samples x " +
-        std::to_string(feature_count()) + " features)");
-  }
-  const auto k = static_cast<std::size_t>(num_outputs());
-  if (out.size() < n_samples * k) {
-    throw std::invalid_argument(
-        "predict_scores: output span holds " + std::to_string(out.size()) +
-        " values, needs " + std::to_string(n_samples * k) + " (" +
-        std::to_string(n_samples) + " samples x " + std::to_string(k) +
-        " outputs)");
-  }
-  if (n_samples == 0) return;
-  // Same missing gate as predict_batch: legacy models reject NaN (FLInt
-  // orders NaN bit patterns instead of comparing unordered), missing-capable
-  // models route it per the policy after the boundary rewrites.
-  if (!missing_policy_.allow_nan) {
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (std::isnan(features[i])) {
-        throw std::invalid_argument(
-            "predict_scores: NaN feature at sample " +
-            std::to_string(i / feature_count()) + ", feature " +
-            std::to_string(i % feature_count()) +
-            " (this model declares no missing-value support; see README "
-            "\"NaN/zero semantics\")");
-      }
-    }
-  }
   std::vector<T> scratch;
-  const std::span<const T> data =
-      missing_transform<T>(missing_policy_, features, scratch);
+  const std::span<const T> data = admit<T>(
+      "predict_scores", missing_policy_, feature_count(), features, n_samples,
+      out.size(), static_cast<std::size_t>(num_outputs()), scratch);
+  if (n_samples == 0) return;
   do_predict_scores(data.data(), n_samples, out.data());
 }
 
 template <typename T>
 void Predictor<T>::predict_scores(const data::Dataset<T>& dataset,
                                   std::span<T> out) const {
-  if (dataset.cols() < feature_count()) {
-    throw std::invalid_argument(
-        "predict_scores: dataset has fewer features than the model");
-  }
-  if (dataset.cols() == feature_count()) {
-    predict_scores(dataset.values(), dataset.rows(), out);
-    return;
-  }
-  // Wider dataset: compact the leading feature_count() values of every row
-  // once, exactly like predict_batch's Dataset overload.
-  const std::size_t cols = feature_count();
-  std::vector<T> compact(dataset.rows() * cols);
-  for (std::size_t r = 0; r < dataset.rows(); ++r) {
-    const auto row = dataset.row(r);
-    std::copy(row.begin(), row.begin() + cols, compact.begin() + r * cols);
-  }
-  predict_scores(compact, dataset.rows(), out);
+  std::vector<T> rows;
+  predict_scores(model_rows("predict_scores", dataset, feature_count(), rows),
+                 dataset.rows(), out);
 }
 
 template <typename T>
@@ -1048,81 +1042,12 @@ namespace {
   throw std::invalid_argument(msg);
 }
 
-/// The layout planning chain shared by layout:* and quant:affine: key
-/// tables + forest stats computed once, "auto" falling back down the width
-/// chain (q4 -> c8 -> c16 -> Wide), pinned widths validated against the
-/// narrow fitness.  `plan.width == Wide` tells the caller to serve through
-/// the wide encoded interpreter instead.  When the plan lands on the
-/// 4-byte width, `q4` carries the image packed while deciding — an auto Q4
-/// verdict only stands once the pack succeeds AND the quantization
-/// contract holds (bit-exact ranks, or every affine feature preserving its
-/// thresholds); otherwise the plan is re-tuned with the 4-byte rung closed.
-/// A pinned layout:q4 skips the contract check (the caller asked for the
-/// quantized image, lossy or not) and throws when it cannot pack.
-template <typename T>
-struct LayoutChoice {
-  exec::layout::LayoutPlan plan;
-  exec::layout::KeyTableSet<T> tables;
-  std::optional<exec::layout::Q4Forest<T>> q4;
-};
-
-template <typename T>
-LayoutChoice<T> choose_layout(const trees::Forest<T>& forest,
-                              std::string_view mode,
-                              const PredictorOptions& options,
-                              bool force_affine = false) {
-  namespace layout = exec::layout;
-  const trees::ForestStats stats = trees::forest_stats(forest);
-  const layout::CacheInfo cache = layout::detect_cache_info();
-  layout::KeyTableSet<T> tables = layout::build_key_tables(forest);
-  layout::NarrowFit fit;
-  fit.ranks_fit_int16 = tables.fits_int16();
-  fit.feature_count = forest.feature_count();
-  fit.num_classes = forest.num_classes();
-
-  std::optional<layout::NodeWidth> force_width;
-  if (mode == "c16" || mode == "c8" || mode == "q4") {
-    force_width = mode == "c16"  ? layout::NodeWidth::C16
-                  : mode == "c8" ? layout::NodeWidth::C8
-                                 : layout::NodeWidth::Q4;
-    const std::string reason = layout::width_unfit_reason(*force_width, fit);
-    if (!reason.empty()) {
-      throw std::invalid_argument("make_predictor: layout:" +
-                                  std::string(mode) + " cannot pack this "
-                                  "model (" + reason + ")");
-    }
-  } else if (mode != "auto") {
-    throw_unknown_backend("layout:" + std::string(mode));
-  }
-  // Placement/traversal are tuned for the width actually packed (a pinned
-  // width gets its own image-size decisions, not auto's).
-  LayoutChoice<T> choice{layout::auto_plan(stats, fit, options.block_size,
-                                           cache, force_width),
-                         std::move(tables), std::nullopt};
-  if (choice.plan.width == layout::NodeWidth::Q4) {
-    std::string why;
-    auto packed = layout::try_pack_q4<T>(forest, choice.plan, choice.tables,
-                                         force_affine, &why);
-    if (force_width) {
-      if (!packed) {
-        throw std::invalid_argument("make_predictor: layout:q4 cannot pack "
-                                    "this model (" + why + ")");
-      }
-      choice.q4 = std::move(packed);
-    } else if (packed &&
-               (packed->exact() || packed->qplan.accuracy_contract())) {
-      choice.q4 = std::move(packed);
-    } else {
-      fit.allow_q4 = false;
-      choice.plan = layout::auto_plan(stats, fit, options.block_size, cache,
-                                      force_width);
-    }
-  }
-  return choice;
-}
-
 /// Builds a compact-layout predictor.  `mode` is "auto", "c16", "c8" or
-/// "q4".  For score models the key-width fitness sees num_classes =
+/// "q4".  One ExecArtifacts bundle plans the image — "auto" walks the width
+/// ladder (q4 -> c8 -> c16 -> Wide, demoting an auto q4 whose pack or
+/// quantization contract fails), a pinned width is checked against the
+/// narrow fitness — and the engine binds the planned image moved out of the
+/// bundle.  For score models the key-width fitness sees num_classes =
 /// leaf-value rows, so c8/c16 are only picked when the row index fits the
 /// packed key.  Falls back to the wide encoded interpreter when nothing
 /// compact fits.
@@ -1131,33 +1056,80 @@ std::unique_ptr<Predictor<T>> make_layout_predictor(
     const trees::Forest<T>& forest, std::string_view mode,
     std::optional<ScoreSpec<T>> score, const PredictorOptions& options) {
   namespace layout = exec::layout;
-  LayoutChoice<T> choice = choose_layout(forest, mode, options);
-  if (choice.plan.width == layout::NodeWidth::Wide) {
+  std::optional<layout::NodeWidth> force_width;
+  if (mode == "c16") {
+    force_width = layout::NodeWidth::C16;
+  } else if (mode == "c8") {
+    force_width = layout::NodeWidth::C8;
+  } else if (mode == "q4") {
+    force_width = layout::NodeWidth::Q4;
+  } else if (mode != "auto") {
+    throw_unknown_backend("layout:" + std::string(mode));
+  }
+  exec::artifacts::ExecArtifacts<T> art(forest, options.block_size,
+                                        layout::detect_cache_info(),
+                                        force_width);
+  const auto cannot_pack = [&](const std::string& reason) {
+    return std::invalid_argument("make_predictor: layout:" +
+                                 std::string(mode) +
+                                 " cannot pack this model (" + reason + ")");
+  };
+  if (force_width) {
+    const std::string reason =
+        layout::width_unfit_reason(*force_width, art.fit());
+    if (!reason.empty()) throw cannot_pack(reason);
+  }
+  if (art.plan().width == layout::NodeWidth::Wide) {
     return make_engine<BlockedExec<T, exec::FlintForestEngine<T>>>(
         std::move(score), exec::to_string(exec::FlintVariant::Encoded),
         options.block_size, forest, exec::FlintVariant::Encoded);
   }
-  if (choice.plan.width == layout::NodeWidth::Q4) {
-    return make_engine<ImageExec<T, layout::Q4ForestEngine<T>>>(
-        std::move(score), std::string{}, std::move(*choice.q4), choice.plan);
+  typename exec::artifacts::ExecArtifacts<T>::Image image;
+  try {
+    image = art.release_planned_image();
+  } catch (const std::invalid_argument& e) {
+    throw cannot_pack(e.what());
   }
-  return make_engine<ImageExec<T, layout::LayoutForestEngine<T>>>(
-      std::move(score), std::string{}, forest, choice.plan, choice.tables);
+  return std::visit(
+      [&](auto& packed) {
+        using Image = std::decay_t<decltype(packed)>;
+        using Engine =
+            std::conditional_t<std::is_same_v<Image, layout::Q4Forest<T>>,
+                               layout::Q4ForestEngine<T>,
+                               layout::LayoutForestEngine<T>>;
+        return make_engine<ImageExec<T, Engine>>(
+            std::move(score), std::string{}, std::move(packed), art.plan());
+      },
+      image);
 }
 
 /// quant:affine — the deterministic lossy path: every feature with splits
 /// routes through its calibrated affine map inside the real 4-byte
 /// pipeline (same image format, kernels and batch-boundary quantization as
-/// layout:q4; only the per-feature quantizers differ).
+/// layout:q4; only the per-feature quantizers differ).  The bundle plans
+/// the pinned 4-byte image; the pack itself forces the affine quantizers.
 template <typename T>
 std::unique_ptr<Predictor<T>> make_quant_affine_predictor(
     const trees::Forest<T>& forest, std::optional<ScoreSpec<T>> score,
     const PredictorOptions& options) {
-  LayoutChoice<T> choice =
-      choose_layout(forest, "q4", options, /*force_affine=*/true);
-  std::string name = "quant:affine(" + choice.plan.describe() + ")";
-  return make_engine<ImageExec<T, exec::layout::Q4ForestEngine<T>>>(
-      std::move(score), std::move(name), std::move(*choice.q4), choice.plan);
+  namespace layout = exec::layout;
+  exec::artifacts::ExecArtifacts<T> art(forest, options.block_size,
+                                        layout::detect_cache_info(),
+                                        layout::NodeWidth::Q4);
+  std::string why =
+      layout::width_unfit_reason(layout::NodeWidth::Q4, art.fit());
+  auto packed = why.empty() ? layout::try_pack_q4<T>(forest, art.plan(),
+                                                     art.tables(),
+                                                     /*force_affine=*/true,
+                                                     &why)
+                            : std::nullopt;
+  if (!packed) {
+    throw std::invalid_argument(
+        "make_predictor: quant:affine cannot pack this model (" + why + ")");
+  }
+  return make_engine<ImageExec<T, layout::Q4ForestEngine<T>>>(
+      std::move(score), "quant:affine(" + art.plan().describe() + ")",
+      std::move(*packed), art.plan());
 }
 
 /// Bumped whenever generate_layout's output changes shape, so stale cache

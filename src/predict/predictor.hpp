@@ -79,14 +79,21 @@ struct MissingPolicy {
 /// makes that value +infinity and rewrites NaN to it as well.  This is
 /// exactly what predict_batch applies at its boundary — exposed for callers
 /// that dispatch prevalidated batches themselves (the serve runtime).
-/// No-op for policies without rewrites.
+/// No-op for policies without rewrites.  (This and reject_nan are defined
+/// for float and double.)
 template <typename T>
 void apply_missing_rewrites(const MissingPolicy& policy, std::span<T> data);
 
-extern template void apply_missing_rewrites<float>(const MissingPolicy&,
-                                                   std::span<float>);
-extern template void apply_missing_rewrites<double>(const MissingPolicy&,
-                                                    std::span<double>);
+/// The boundary NaN gate: unless `policy.allow_nan`, throws
+/// std::invalid_argument "<where>: NaN feature at sample s, feature f
+/// (model '<model_name>' declares no missing-value support; ...)" — "this
+/// model" when `model_name` is empty — for the first NaN in the row-major
+/// `features` of `width` columns.  predict_batch, predict_scores and the
+/// serve runtime's submit() all reject through it.
+template <typename T>
+void reject_nan(const MissingPolicy& policy, std::span<const T> features,
+                std::size_t width, std::string_view where,
+                std::string_view model_name = {});
 
 /// Abstract batched forest classifier over feature scalar T.
 template <typename T>

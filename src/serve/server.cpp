@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -854,16 +853,10 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
   // and — for missing-capable models — the policy's rewrites (applied to
   // the request's own copy below).
   const predict::MissingPolicy policy = entry.predictor->missing_policy();
-  if (!policy.allow_nan) {
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (std::isnan(features[i])) {
-        return reject(std::make_exception_ptr(std::invalid_argument(
-            "serve: NaN feature at sample " + std::to_string(i / width) +
-            ", feature " + std::to_string(i % width) +
-            " (model '" + entry.name + "' declares no missing-value "
-            "support; see README \"NaN/zero semantics\")")));
-      }
-    }
+  try {
+    predict::reject_nan<float>(policy, features, width, "serve", entry.name);
+  } catch (const std::invalid_argument&) {
+    return reject(std::current_exception());
   }
   if (n_samples == 0) {
     promise.set_value({});
@@ -876,7 +869,13 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
   request.n_samples = n_samples;
   request.enqueued = now;
   request.priority = submit_options.priority;
-  if (submit_options.deadline_us > 0) {
+  // A budget past the clock's range means "no deadline": adding it would
+  // overflow the time point and expire the request at once.
+  const auto headroom = std::chrono::duration_cast<std::chrono::microseconds>(
+      Clock::time_point::max() - now);
+  if (submit_options.deadline_us > 0 &&
+      submit_options.deadline_us <
+          static_cast<std::uint64_t>(headroom.count())) {
     request.deadline =
         now + std::chrono::microseconds(submit_options.deadline_us);
   }

@@ -807,27 +807,49 @@ Report verify_model(const model::ForestModel<T>& m) {
     verify_packed_nodes(forest, art.packed_engine(), report);
     report.artifacts_checked.push_back("packed");
 
-    for (const std::size_t hot_depth : {std::size_t{0}, std::size_t{4}}) {
-      std::string why;
-      if (const auto* c16 = art.try_compact16_at(hot_depth, &why)) {
+    // Every width at hot depths 0 and 4 covers both placements; the planned
+    // image — plan().width at plan().hot_depth, the bytes
+    // make_predictor(…, "layout:auto") binds — is checked too and named.
+    using exec::layout::NodeWidth;
+    const auto& plan = art.plan();
+    std::vector<std::size_t> depths = {0, 4};
+    if (plan.hot_depth != 0 && plan.hot_depth != 4) {
+      depths.push_back(plan.hot_depth);
+    }
+    for (const std::size_t hot_depth : depths) {
+      const auto wanted = [&](NodeWidth w) {
+        return hot_depth == 0 || hot_depth == 4 || w == plan.width;
+      };
+      const auto checked = [&](NodeWidth w) {
+        if (hot_depth == 0) report.artifacts_checked.emplace_back(to_string(w));
+        if (w == plan.width && hot_depth == plan.hot_depth) {
+          report.artifacts_checked.push_back("planned:" + plan.describe());
+        }
+      };
+      if (const auto* c16 = wanted(NodeWidth::C16)
+                                ? art.try_compact16_at(hot_depth)
+                                : nullptr) {
         verify_compact(forest, *c16, art.tables(), report, "c16");
         if (hot_depth == 0 && c16->hot_nodes != 0) {
           report.add({"compact.hot", "c16", -1, -1,
                       "pure-DFS plan produced a hot slab"});
         }
-        if (hot_depth == 0) report.artifacts_checked.push_back("c16");
+        checked(NodeWidth::C16);
       }
-      if (const auto* c8 = art.try_compact8_at(hot_depth, &why)) {
+      if (const auto* c8 = wanted(NodeWidth::C8)
+                               ? art.try_compact8_at(hot_depth)
+                               : nullptr) {
         verify_compact(forest, *c8, art.tables(), report, "c8");
-        if (hot_depth == 0) report.artifacts_checked.push_back("c8");
+        checked(NodeWidth::C8);
       }
-      if (const auto* q4 = art.try_q4_at(hot_depth, &why)) {
+      if (const auto* q4 =
+              wanted(NodeWidth::Q4) ? art.try_q4_at(hot_depth) : nullptr) {
         verify_q4(forest, *q4, art.tables(), report);
         if (hot_depth == 0 && q4->hot_nodes != 0) {
           report.add({"q4.hot", "q4", -1, -1,
                       "pure-DFS plan produced a hot slab"});
         }
-        if (hot_depth == 0) report.artifacts_checked.push_back("q4");
+        checked(NodeWidth::Q4);
       }
     }
   } catch (const std::exception& e) {

@@ -10,13 +10,17 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/flint.hpp"
 #include "data/synth.hpp"
+#include "exec/artifacts/artifacts.hpp"
 #include "exec/layout/compact.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
@@ -138,6 +142,28 @@ TEST(KeyTable, BuildFromForestCoversEverySplitExactly) {
   }
 }
 
+/// Packs `forest` at exactly `plan` with the public packers and binds the
+/// image — the factory's path minus the planner, so a test can pin a plan.
+template <typename Engine>
+Engine pack_and_bind(const flint::trees::Forest<float>& forest,
+                     const layout::LayoutPlan& plan,
+                     const layout::KeyTableSet<float>& tables) {
+  std::string why;
+  const auto bind = [&](auto packed) {
+    if (!packed) throw std::runtime_error("pack failed: " + why);
+    return Engine(std::move(*packed), plan);
+  };
+  if constexpr (std::is_same_v<Engine, layout::Q4ForestEngine<float>>) {
+    return bind(layout::try_pack_q4<float>(forest, plan, tables, false, &why));
+  } else if (plan.width == layout::NodeWidth::C8) {
+    return bind(layout::try_pack<float, layout::CompactNode8>(forest, plan,
+                                                             tables, &why));
+  } else {
+    return bind(layout::try_pack<float, layout::CompactNode16>(forest, plan,
+                                                              tables, &why));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine bit-identity across width x placement x traversal.
 // ---------------------------------------------------------------------------
@@ -195,8 +221,8 @@ TEST_F(LayoutEngine, BitIdenticalAcrossWidthPlacementTraversal) {
         plan.interleave = interleave;
         plan.block_size = 48;
         plan.prefetch_opposite = hot_depth != 0;
-        const layout::LayoutForestEngine<float> engine(forest_, plan,
-                                                       tables_);
+        const auto engine = pack_and_bind<layout::LayoutForestEngine<float>>(
+            forest_, plan, tables_);
         EXPECT_EQ(engine.node_bytes(),
                   width == layout::NodeWidth::C16 ? 16u : 8u);
         EXPECT_EQ(engine.hot_node_count() > 0, hot_depth > 0);
@@ -233,7 +259,8 @@ TEST_F(LayoutEngine, ScalarLockstepPathMatchesVectorPath) {
     plan.width = width;
     plan.block_size = 32;
     plan.prefetch_opposite = true;
-    const layout::LayoutForestEngine<float> engine(forest_, plan, tables_);
+    const auto engine =
+        pack_and_bind<layout::LayoutForestEngine<float>>(forest_, plan, tables_);
     std::vector<std::int32_t> out(n, -1);
     engine.predict_batch(features.data(), n, out.data());
     EXPECT_EQ(out, expected) << plan.describe();
@@ -321,6 +348,24 @@ TEST(LayoutFallback, NarrowWidthRejectedWideWidthServes) {
   for (const float x : xs) {
     EXPECT_EQ(predictor->predict_one({&x, 1}), forest.predict({&x, 1}))
         << "x=" << x;
+  }
+}
+
+// layout:auto binds the image its ExecArtifacts bundle planned, so the
+// backend name is that bundle's plan — for the fixture forest and for a
+// deeper one, whose plan carries a hot slab once its image outgrows L2.
+TEST_F(LayoutEngine, AutoBindsTheBundlePlan) {
+  const auto data =
+      flint::data::generate<float>(flint::data::magic_spec(), 7, 4000);
+  flint::trees::ForestOptions opt;
+  opt.n_trees = 32;
+  opt.tree.max_depth = 16;
+  const auto deep = flint::trees::train_forest(data, opt);
+  for (const auto& forest : {std::cref(forest_), std::cref(deep)}) {
+    const flint::exec::artifacts::ExecArtifacts<float> art(forest);
+    EXPECT_EQ(flint::predict::make_predictor(forest.get(), "layout:auto")
+                  ->name(),
+              "layout:" + art.plan().describe());
   }
 }
 
@@ -581,7 +626,8 @@ TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
     plan.width = layout::NodeWidth::Q4;
     plan.hot_depth = hot_depth;
     plan.block_size = 48;
-    const layout::Q4ForestEngine<float> engine(forest_, plan, tables_);
+    const auto engine =
+        pack_and_bind<layout::Q4ForestEngine<float>>(forest_, plan, tables_);
     EXPECT_EQ(engine.node_bytes(), 4u);
     std::vector<std::int32_t> out(n, -1);
     engine.predict_batch(features.data(), n, out.data());
@@ -597,7 +643,8 @@ TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
   layout::LayoutPlan plan;
   plan.width = layout::NodeWidth::Q4;
   plan.block_size = 32;
-  const layout::Q4ForestEngine<float> engine(forest_, plan, tables_);
+  const auto engine =
+      pack_and_bind<layout::Q4ForestEngine<float>>(forest_, plan, tables_);
   std::vector<std::int32_t> out(n, -1);
   engine.predict_batch(features.data(), n, out.data());
   EXPECT_EQ(out, expected);
@@ -644,7 +691,8 @@ TEST(Q4Narrow, AdversarialThresholdsExactAtInt8AndInt16KeySpans) {
     const auto tables = layout::build_key_tables(forest);
     layout::LayoutPlan plan;
     plan.width = layout::NodeWidth::Q4;
-    const layout::Q4ForestEngine<float> engine(forest, plan, tables);
+    const auto engine =
+        pack_and_bind<layout::Q4ForestEngine<float>>(forest, plan, tables);
     ASSERT_TRUE(engine.packed().exact());
     const bool int8_block = engine.packed().max_key_span() <= 255;
     EXPECT_EQ(int8_block, thresholds == &small_thresholds);

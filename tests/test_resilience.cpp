@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,16 +157,22 @@ class ResilienceFixture : public ::testing::Test {
 // Always-on: deadlines, admission control, degrade ladder.
 // ---------------------------------------------------------------------------
 
+// Budgets past the clock's range (10^16 us, UINT64_MAX) mean "no deadline";
+// they once overflowed the time-point add and expired at submit.
 TEST_F(ResilienceFixture, GenerousDeadlineSucceeds) {
-  InferenceServer server{ServeOptions{}};
-  server.registry().install("default", wrap(forest_a_));
-  SubmitOptions sopt;
-  sopt.deadline_us = 10'000'000;
-  auto got = server.submit(rows_from(0, 3), 3, {}, sopt).get();
-  EXPECT_TRUE(matches(ref_a_, 0, got));
-  const auto m = server.metrics();
-  EXPECT_EQ(m.deadline_missed, 0u);
-  EXPECT_EQ(m.completed, 1u);
+  for (const std::uint64_t deadline_us :
+       {std::uint64_t{10'000'000}, std::uint64_t{10'000'000'000'000'000},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    InferenceServer server{ServeOptions{}};
+    server.registry().install("default", wrap(forest_a_));
+    SubmitOptions sopt;
+    sopt.deadline_us = deadline_us;
+    auto got = server.submit(rows_from(0, 3), 3, {}, sopt).get();
+    EXPECT_TRUE(matches(ref_a_, 0, got)) << deadline_us;
+    const auto m = server.metrics();
+    EXPECT_EQ(m.deadline_missed, 0u) << deadline_us;
+    EXPECT_EQ(m.completed, 1u) << deadline_us;
+  }
 }
 
 // The tightest queued deadline drives the flush: with a 30s max_delay a

@@ -16,6 +16,7 @@
 //      specific diagnostic docs/VERIFICATION.md promises for it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/artifacts/artifacts.hpp"
 #include "model/forest_model.hpp"
 #include "model/loaders.hpp"
 #include "model/model_io.hpp"
@@ -115,6 +117,13 @@ TEST(VerifyClean, HandBuiltModelPasses) {
   // A pass must be auditable: every artifact family was actually built.
   EXPECT_GE(report.artifacts_checked.size(), 4u);
   EXPECT_GT(report.nodes_checked, 0u);
+  // Among them the planned image, the one layout:auto binds.
+  const flint::exec::artifacts::ExecArtifacts<float> art(m.forest);
+  const std::string planned = "planned:" + art.plan().describe();
+  EXPECT_NE(std::find(report.artifacts_checked.begin(),
+                      report.artifacts_checked.end(), planned),
+            report.artifacts_checked.end())
+      << planned;
 }
 
 TEST(VerifyClean, InfiniteSplitsAreOrderedAndAccepted) {
