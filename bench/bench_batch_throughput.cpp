@@ -9,12 +9,10 @@
 // to the float reference before it is timed.
 //
 // FLINT_BENCH_FULL=1 enlarges the dataset and the sweep.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,7 +21,6 @@
 #include "harness/bench_json.hpp"
 #include "harness/machine_info.hpp"
 #include "harness/timer.hpp"
-#include "jit/cache.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 
@@ -129,31 +126,17 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-14s\n", "backend", "samples/sec");
   for (const char* backend :
        {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-        "layout:auto", "layout:c16", "layout:c8", "jit:layout"}) {
+        "layout:auto", "layout:c16", "layout:c8"}) {
     flint::predict::PredictorOptions opt;
     opt.block_size = 256;
     std::unique_ptr<flint::predict::Predictor<float>> p;
-    const auto cache_before = flint::jit::CompileCache::instance().stats();
-    const auto c0 = std::chrono::steady_clock::now();
     try {
       p = flint::predict::make_predictor(forest, backend, opt);
     } catch (const std::exception& e) {
       // Pinned layout:c8 refuses models whose per-feature distinct
-      // thresholds overflow int16 ranks (e.g. the FULL-size forest);
-      // jit:layout can miss a C toolchain.
+      // thresholds overflow int16 ranks (e.g. the FULL-size forest).
       std::printf("%-12s skipped (%s)\n", backend, e.what());
       continue;
-    }
-    const auto c1 = std::chrono::steady_clock::now();
-    if (std::string_view(backend).rfind("jit:", 0) == 0) {
-      const auto cache_after = flint::jit::CompileCache::instance().stats();
-      const double compile_ms =
-          std::chrono::duration<double, std::milli>(c1 - c0).count();
-      const bool cache_hit = cache_after.hits > cache_before.hits;
-      json.set("jit_layout_compile_ms", compile_ms);
-      json.set("jit_layout_cache_hit", cache_hit);
-      std::printf("%-12s compile %.1f ms (cache %s)\n", backend, compile_ms,
-                  cache_hit ? "hit" : "miss");
     }
     verify(*p);
     const double rate = samples_per_sec(*p, batch, out);

@@ -16,7 +16,6 @@
 //   FLINT_BENCH_SMOKE=1  tiny model, correctness-gate sized (CI)
 //   FLINT_BENCH_FULL=1   256 trees x depth 16 + larger pool
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -31,7 +30,6 @@
 #include "harness/bench_json.hpp"
 #include "harness/machine_info.hpp"
 #include "harness/timer.hpp"
-#include "jit/cache.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 #include "trees/tree_stats.hpp"
@@ -124,9 +122,8 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::vector<std::string> backends = {"encoded",   "layout:c16",
-                                       "layout:c8", "layout:q4",
-                                       "layout:auto", "jit:layout"};
+  std::vector<std::string> backends = {"encoded", "layout:c16", "layout:c8",
+                                       "layout:q4", "layout:auto"};
   // Quantization contract report for the 4-byte image: packed once here so
   // the JSON artifact carries the per-model fitness/mismatch facts the
   // acceptance criteria ask for.  layout:q4 only joins the bit-identity
@@ -167,29 +164,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < backends.size();) {
     flint::predict::PredictorOptions opt;
     opt.block_size = 256;
-    const auto cache_before = flint::jit::CompileCache::instance().stats();
-    const auto c0 = std::chrono::steady_clock::now();
     try {
       predictors.push_back(
           flint::predict::make_predictor(forest, backends[i], opt));
     } catch (const std::exception& e) {
       // A pinned width can be unpackable (e.g. layout:c8 on a model with
-      // > 32767 distinct thresholds per feature); jit:layout can miss a C
-      // toolchain.  layout:auto still serves.
+      // > 32767 distinct thresholds per feature).  layout:auto still serves.
       std::printf("  %-12s skipped (%s)\n", backends[i].c_str(), e.what());
       backends.erase(backends.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
-    }
-    const auto c1 = std::chrono::steady_clock::now();
-    if (backends[i].rfind("jit:", 0) == 0) {
-      const auto cache_after = flint::jit::CompileCache::instance().stats();
-      const double compile_ms =
-          std::chrono::duration<double, std::milli>(c1 - c0).count();
-      const bool cache_hit = cache_after.hits > cache_before.hits;
-      json.set("jit_layout_compile_ms", compile_ms);
-      json.set("jit_layout_cache_hit", cache_hit);
-      std::printf("  %-12s compile %.1f ms (cache %s)\n", backends[i].c_str(),
-                  compile_ms, cache_hit ? "hit" : "miss");
     }
     verify(*predictors.back());
     std::printf("  %-12s -> %s\n", backends[i].c_str(),
@@ -204,7 +187,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
   double encoded_rate = 0.0;  // at the largest batch
   double layout_auto_rate = 0.0;
-  double jit_layout_rate = 0.0;
   double layout_q4_rate = 0.0;
   for (const std::size_t batch :
        {std::size_t{256}, std::size_t{4096}, data.rows()}) {
@@ -217,7 +199,6 @@ int main(int argc, char** argv) {
       if (batch == data.rows()) {
         if (backends[i] == "encoded") encoded_rate = rate;
         if (backends[i] == "layout:auto") layout_auto_rate = rate;
-        if (backends[i] == "jit:layout") jit_layout_rate = rate;
         if (backends[i] == "layout:q4") layout_q4_rate = rate;
       }
     }
@@ -299,57 +280,6 @@ int main(int argc, char** argv) {
       "%.2fx, %s%s)\n",
       speedup, speedup >= 1.3 ? "MET" : "NOT MET on this host",
       smoke ? "; smoke model is cache-resident, timing not meaningful" : "");
-  if (jit_layout_rate > 0 && layout_auto_rate > 0) {
-    // ISSUE 9 gate: the generated module must not lose to the engine it was
-    // generated from, on batch throughput or single-sample latency.  The
-    // one-shot sweep cells above are minutes apart, so on a shared host the
-    // load can drift by more than the margin under test; the gate instead
-    // measures the two backends back-to-back in alternating rounds and takes
-    // the median per-round ratio, which cancels the drift pairwise.
-    const flint::predict::Predictor<float>* auto_p = nullptr;
-    const flint::predict::Predictor<float>* jit_p = nullptr;
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-      if (backends[i] == "layout:auto") auto_p = predictors[i].get();
-      if (backends[i] == "jit:layout") jit_p = predictors[i].get();
-    }
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    auto latency_us = [&](const flint::predict::Predictor<float>& p) {
-      std::size_t r = 0;
-      std::int32_t sink = 0;
-      const auto t = flint::harness::measure(
-          [&] {
-            sink ^= p.predict_one({features.data() + r * cols, cols});
-            r = (r + 1) % data.rows();
-          },
-          0.02, 3);
-      (void)sink;
-      return t.seconds_per_iteration * 1e6;
-    };
-    std::vector<double> batch_ratios;
-    std::vector<double> latency_ratios;
-    for (int round = 0; round < 9; ++round) {
-      const double ra =
-          samples_per_sec(*auto_p, features, data.rows(), out);
-      const double rj = samples_per_sec(*jit_p, features, data.rows(), out);
-      batch_ratios.push_back(rj / ra);
-      const double ua = latency_us(*auto_p);
-      const double uj = latency_us(*jit_p);
-      latency_ratios.push_back(ua / uj);
-    }
-    const double batch_ratio = median(batch_ratios);
-    const double latency_ratio = median(latency_ratios);
-    json.set("jit_layout_vs_layout_auto_batch", batch_ratio);
-    json.set("jit_layout_vs_layout_auto_latency", latency_ratio);
-    std::printf(
-        "(acceptance: jit:layout >= 1.0x layout:auto, paired median of 9 "
-        "rounds -- batch %.2fx, latency %.2fx, %s)\n",
-        batch_ratio, latency_ratio,
-        batch_ratio >= 1.0 && latency_ratio >= 1.0 ? "MET"
-                                                   : "NOT MET on this host");
-  }
   if (layout_q4_rate > 0) {
     // q4 acceptance gate: the 4-byte quantized image must beat what the auto
     // tuner would pick WITHOUT the q4 rung (auto itself may select q4 on
@@ -357,8 +287,11 @@ int main(int argc, char** argv) {
     // already constructed above).  Without the q4 rung the tuner keeps its
     // plan when that is not q4 (never chosen, or demoted by the bundle); a
     // q4 plan falls to c8 when c8 fits, since both rungs share the same
-    // cache-hostility test.  Paired rounds + median ratio for the same
-    // drift-cancelling reasons as the jit gate.
+    // cache-hostility test.  The one-shot sweep cells above are minutes
+    // apart, so on a shared host the load can drift by more than the margin
+    // under test; the gate instead measures the two backends back-to-back
+    // in alternating rounds and takes the median per-round ratio, which
+    // cancels the drift pairwise.
     namespace layout = flint::exec::layout;
     const flint::exec::artifacts::ExecArtifacts<float> art(forest, 256,
                                                            cache);

@@ -9,6 +9,7 @@
 #include <ostream>
 #include <set>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "codegen/asm_arm.hpp"
@@ -184,21 +185,13 @@ int cmd_predict(const Args& args, std::ostream& out) {
   popt.threads = static_cast<unsigned>(threads);
   popt.block_size = static_cast<std::size_t>(batch);
   args.check_all_used();
+  // Built before the empty-row check so an empty CSV rejects the same
+  // engines (unknown names, unpackable pinned widths) as a non-empty one.
+  const auto predictor = predict::make_predictor(model, engine_name, popt);
   if (dataset.rows() == 0) {
     // An empty CSV is a valid (if useless) input.  It never learns a column
     // count, so the width check below would misreport it, and the accuracy
-    // quotient would divide by zero.  Still reject unknown backend names —
-    // by vocabulary, not by constructing the predictor, which for jit:*
-    // would run the whole codegen + compile + dlopen pipeline just to print
-    // "n/a".
-    if (!predict::is_known_backend(engine_name)) {
-      std::string msg = "unknown backend '" + engine_name + "'";
-      if (const auto near = predict::suggest_backend(engine_name);
-          !near.empty()) {
-        msg += " (did you mean '" + near + "'?)";
-      }
-      throw std::invalid_argument(msg + " (" + predict::backend_help() + ")");
-    }
+    // quotient would divide by zero.
     if (output_mode == "scores") {
       out << "scored 0 rows x " << model.n_outputs << " outputs (engine: "
           << engine_name << ")\n";
@@ -211,7 +204,6 @@ int cmd_predict(const Args& args, std::ostream& out) {
     throw std::invalid_argument("data has fewer features than the model");
   }
 
-  const auto predictor = predict::make_predictor(model, engine_name, popt);
   if (output_mode == "scores") {
     const auto k = static_cast<std::size_t>(predictor->num_outputs());
     std::vector<float> scores(dataset.rows() * k);
@@ -535,8 +527,12 @@ int cmd_inspect(const Args& args, std::ostream& out) {
   // the calibrated affine map, and the measured per-feature fitness.
   exec::artifacts::ExecArtifacts<float> art(forest);
   std::string q4_why;
-  const exec::layout::Q4Forest<float>* q4 =
-      art.try_q4_at(art.plan().hot_depth, &q4_why);
+  const auto q4_image =
+      art.try_image_at(exec::layout::NodeWidth::Q4, art.plan().hot_depth,
+                       &q4_why);
+  const auto* q4 = q4_image
+                       ? std::get_if<exec::layout::Q4Forest<float>>(&*q4_image)
+                       : nullptr;
 
   if (json) {
     const auto escape = [](const std::string& s) {
@@ -610,9 +606,8 @@ std::string usage() {
   {
     std::vector<std::string> names = predict::interpreter_backends();
     names.emplace_back("flint");
-    for (const auto& list : {predict::layout_backends(),
-                             predict::quant_backends(),
-                             predict::jit_backends()}) {
+    for (const auto& list :
+         {predict::layout_backends(), predict::quant_backends()}) {
       names.insert(names.end(), list.begin(), list.end());
     }
     std::string line = "           backends: ";
@@ -653,9 +648,7 @@ std::string usage() {
       "           [--labels yes|no] [--output classes|scores]\n" +
       backends +
       "           (--threads 0 = all cores; --batch = samples per cache\n"
-      "           block; jit:layout compiles a model-specialized module\n"
-      "           from the compact layout image, reused via a content-hash\n"
-      "           compile cache; --output scores prints per-sample score\n"
+      "           block; --output scores prints per-sample score\n"
       "           vectors for additive leaf-value models — GBDT margins/\n"
       "           probabilities, soft-vote averages, regression values;\n"
       "           see docs/ARCHITECTURE.md and docs/MODEL_FORMATS.md)\n"

@@ -1,8 +1,8 @@
 // core/hash — tiny FNV-1a 64 streaming hasher.
 //
-// Used for structural content hashes (ExecArtifacts::content_hash, the JIT
-// compile cache key).  Not cryptographic; collisions only cost a spurious
-// cache miss or an extremely unlikely stale hit within one process.
+// Used for structural content hashes (ExecArtifacts::content_hash).  Not
+// cryptographic: two models that collide merely look identical to a
+// content comparison.
 #pragma once
 
 #include <cstdint>

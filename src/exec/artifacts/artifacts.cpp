@@ -1,6 +1,5 @@
 #include "exec/artifacts/artifacts.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "core/hash.hpp"
@@ -24,11 +23,15 @@ ExecArtifacts<T>::ExecArtifacts(const trees::Forest<T>& forest,
   plan_ = layout::auto_plan(stats, fit_, block_size, cache, force_width);
   // An auto Q4 verdict is tentative: the pack-time bit budget and the
   // quantization contract (exact ranks, or threshold-preserving affine
-  // maps) decide whether the 4-byte image may serve.  Pack it now; on any
-  // failure demote and re-tune with the 4-byte rung closed.
+  // maps) decide whether the 4-byte image may serve.  Pack it now and hold
+  // it; on any failure drop it, demote and re-tune with the 4-byte rung
+  // closed.
   if (!force_width && plan_.width == layout::NodeWidth::Q4) {
-    const layout::Q4Forest<T>* img = try_q4_at(plan_.hot_depth);
-    if (img == nullptr || !(img->exact() || img->qplan.accuracy_contract())) {
+    planned_q4_ = layout::try_pack_q4<T>(forest, plan_, tables_,
+                                         /*force_affine=*/false, nullptr);
+    if (!planned_q4_ || !(planned_q4_->exact() ||
+                          planned_q4_->qplan.accuracy_contract())) {
+      planned_q4_.reset();
       fit_.allow_q4 = false;
       plan_ = layout::auto_plan(stats, fit_, block_size, cache, force_width);
     }
@@ -36,103 +39,46 @@ ExecArtifacts<T>::ExecArtifacts(const trees::Forest<T>& forest,
 }
 
 template <typename T>
-template <typename Img, typename Pack>
-const Img* ExecArtifacts<T>::cached(Cache<Img>& cache, layout::NodeWidth width,
-                                    std::size_t hot_depth, std::string* why,
-                                    Pack&& pack) {
-  auto it = cache.find(hot_depth);
-  if (it == cache.end()) {
-    layout::LayoutPlan plan = plan_;
-    plan.width = width;
-    plan.hot_depth = hot_depth;
-    Cached<Img> entry;
-    entry.image = pack(plan, &entry.why);
-    it = cache.emplace(hot_depth, std::move(entry)).first;
+std::optional<typename ExecArtifacts<T>::Image> ExecArtifacts<T>::try_image_at(
+    layout::NodeWidth width, std::size_t hot_depth, std::string* why) {
+  if (planned_q4_ && width == plan_.width && hot_depth == plan_.hot_depth) {
+    // Handing the held image over moves it: no copy, and the bundle keeps
+    // nothing resident afterwards.
+    Image held(std::move(*planned_q4_));
+    planned_q4_.reset();
+    return held;
   }
-  if (!it->second.image) {
-    if (why != nullptr) *why = it->second.why;
-    return nullptr;
-  }
-  return &*it->second.image;
-}
-
-template <typename T>
-const layout::CompactForest<T, layout::CompactNode16>*
-ExecArtifacts<T>::try_compact16_at(std::size_t hot_depth, std::string* why) {
-  return cached(c16_, layout::NodeWidth::C16, hot_depth, why,
-                [&](const layout::LayoutPlan& plan, std::string* reason) {
-                  return layout::try_pack<T, layout::CompactNode16>(
-                      *forest_, plan, tables_, reason);
-                });
-}
-
-template <typename T>
-const layout::CompactForest<T, layout::CompactNode8>*
-ExecArtifacts<T>::try_compact8_at(std::size_t hot_depth, std::string* why) {
-  return cached(c8_, layout::NodeWidth::C8, hot_depth, why,
-                [&](const layout::LayoutPlan& plan, std::string* reason) {
-                  return layout::try_pack<T, layout::CompactNode8>(
-                      *forest_, plan, tables_, reason);
-                });
-}
-
-template <typename T>
-const layout::Q4Forest<T>* ExecArtifacts<T>::try_q4_at(std::size_t hot_depth,
-                                                       std::string* why) {
-  return cached(q4_, layout::NodeWidth::Q4, hot_depth, why,
-                [&](const layout::LayoutPlan& plan, std::string* reason) {
-                  return layout::try_pack_q4<T>(*forest_, plan, tables_,
-                                                /*force_affine=*/false,
-                                                reason);
-                });
-}
-
-template <typename T>
-const layout::CompactForest<T, layout::CompactNode16>&
-ExecArtifacts<T>::compact16() {
-  std::string why;
-  const auto* packed = try_compact16_at(plan_.hot_depth, &why);
-  if (packed == nullptr) {
-    throw std::invalid_argument("ExecArtifacts::compact16: " + why);
-  }
-  return *packed;
-}
-
-template <typename T>
-typename ExecArtifacts<T>::Image ExecArtifacts<T>::release_planned_image() {
-  const std::size_t depth = plan_.hot_depth;
-  // Extracting the cache node hands its image over without a copy.
-  const auto take = [depth](auto& cache) {
-    return Image(std::move(*cache.extract(depth).mapped().image));
-  };
-  std::string why = "the plan serves the wide interpreter";
-  switch (plan_.width) {
+  layout::LayoutPlan plan = plan_;
+  plan.width = width;
+  plan.hot_depth = hot_depth;
+  switch (width) {
     case layout::NodeWidth::C16:
-      if (try_compact16_at(depth, &why)) return take(c16_);
+      if (auto image = layout::try_pack<T, layout::CompactNode16>(
+              *forest_, plan, tables_, why)) {
+        return Image(std::move(*image));
+      }
       break;
     case layout::NodeWidth::C8:
-      if (try_compact8_at(depth, &why)) return take(c8_);
+      if (auto image = layout::try_pack<T, layout::CompactNode8>(
+              *forest_, plan, tables_, why)) {
+        return Image(std::move(*image));
+      }
       break;
     case layout::NodeWidth::Q4:
-      if (try_q4_at(depth, &why)) return take(q4_);
+      if (auto image = layout::try_pack_q4<T>(*forest_, plan, tables_,
+                                              /*force_affine=*/false, why)) {
+        return Image(std::move(*image));
+      }
       break;
     case layout::NodeWidth::Wide:
+      if (why != nullptr) *why = "the plan serves the wide interpreter";
       break;
   }
-  throw std::invalid_argument(why);
-}
-
-template <typename T>
-const FlintForestEngine<T>& ExecArtifacts<T>::packed_engine() {
-  if (!packed_) {
-    packed_.emplace(*forest_, FlintVariant::Encoded);
-  }
-  return *packed_;
+  return std::nullopt;
 }
 
 template <typename T>
 std::uint64_t ExecArtifacts<T>::content_hash() const {
-  if (hash_) return *hash_;
   core::Fnv1a64 h;
   h.add(forest_->num_classes());
   h.add(forest_->feature_count());
@@ -153,8 +99,7 @@ std::uint64_t ExecArtifacts<T>::content_hash() const {
       h.add_span(tree.cat_set(s));
     }
   }
-  hash_ = h.digest();
-  return *hash_;
+  return h.digest();
 }
 
 template class ExecArtifacts<float>;

@@ -1,8 +1,7 @@
 // jit/options — compiler-driver knobs for the JIT runtime.
 //
-// Split out of jit/jit.hpp so that predictor.hpp (and everything that
-// includes it) can carry JitOptions by value without pulling in the
-// dlopen/compile machinery or codegen/emit.hpp.
+// Included only by jit/jit.hpp; no other header carries JitOptions, so the
+// struct could live in jit.hpp itself.
 #pragma once
 
 #include <string>

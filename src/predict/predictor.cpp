@@ -16,8 +16,6 @@
 #include <utility>
 #include <variant>
 
-#include "codegen/cgen_layout.hpp"
-#include "core/hash.hpp"
 #include "core/thread_annotations.hpp"
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/interpreter.hpp"
@@ -25,7 +23,6 @@
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
-#include "jit/cache.hpp"
 #include "predict/jit_predictor.hpp"
 
 namespace flint::predict {
@@ -577,53 +574,6 @@ class ImageExec {
   std::string name_;
 };
 
-/// jit:layout: a generated tile-blocked body compiled from the compact
-/// image (codegen/cgen_layout.hpp), shared through the process-wide compile
-/// cache.  A vote module exports `forest_predict_batch`; a score module
-/// exports `forest_accumulate_scores` with the leaf-value table and base
-/// offsets embedded, so the spec argument is already baked in.  Generated
-/// scratch is function-local (stack arrays).
-template <typename T>
-class JitLayoutExec {
- public:
-  using BatchFn = void(const T*, long long, std::int32_t*);
-  using AccumFn = void(const T*, long long, T*);
-
-  JitLayoutExec(std::shared_ptr<const jit::JitModule> module, bool vote,
-                int num_classes, std::size_t feature_count)
-      : module_(std::move(module)),
-        num_classes_(num_classes),
-        feature_count_(feature_count) {
-    if (vote) {
-      batch_ = module_->function<BatchFn>("forest_predict_batch");
-    } else {
-      accumulate_ = module_->function<AccumFn>("forest_accumulate_scores");
-    }
-  }
-
-  [[nodiscard]] std::string name() const { return "jit:layout"; }
-  [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] std::size_t feature_count() const noexcept {
-    return feature_count_;
-  }
-
-  void vote(const T* features, std::size_t n_samples, std::int32_t* out) const {
-    batch_(features, static_cast<long long>(n_samples), out);
-  }
-
-  void accumulate(const T* features, std::size_t n_samples,
-                  const ScoreSpec<T>& /*spec*/, T* out) const {
-    accumulate_(features, static_cast<long long>(n_samples), out);
-  }
-
- private:
-  std::shared_ptr<const jit::JitModule> module_;
-  BatchFn* batch_ = nullptr;
-  AccumFn* accumulate_ = nullptr;
-  int num_classes_ = 0;
-  std::size_t feature_count_ = 0;
-};
-
 /// The one predictor class behind every non-parallel backend.  Without a
 /// ScoreSpec it serves a majority-vote forest: predict_batch is the
 /// adapter's vote call and there are no scores.  With one it serves an
@@ -934,12 +884,10 @@ std::vector<std::string> quant_backends() {
   return {"quant:affine"};
 }
 
-std::vector<std::string> jit_backends() { return {"jit:layout"}; }
-
 bool is_known_backend(std::string_view backend) {
   if (backend == "flint") return true;  // factory alias for "encoded"
-  for (const auto& list : {interpreter_backends(), layout_backends(),
-                           quant_backends(), jit_backends()}) {
+  for (const auto& list :
+       {interpreter_backends(), layout_backends(), quant_backends()}) {
     for (const auto& name : list) {
       if (name == backend) return true;
     }
@@ -958,9 +906,6 @@ std::string backend_help() {
     help += "|" + name;
   }
   for (const auto& name : quant_backends()) {
-    help += "|" + name;
-  }
-  for (const auto& name : jit_backends()) {
     help += "|" + name;
   }
   return help;
@@ -990,8 +935,8 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 
 std::string suggest_backend(std::string_view backend) {
   std::vector<std::string> names;
-  for (auto& list : {interpreter_backends(), layout_backends(),
-                     quant_backends(), jit_backends()}) {
+  for (auto& list :
+       {interpreter_backends(), layout_backends(), quant_backends()}) {
     names.insert(names.end(), list.begin(), list.end());
   }
   names.emplace_back("flint");
@@ -1009,7 +954,7 @@ std::string suggest_backend(std::string_view backend) {
   if (best_dist <= std::max<std::size_t>(2, longest / 3 + 1)) return best;
 
   // No near-miss: fall back to the closest name in the same family, so any
-  // unknown "jit:..." still points at "jit:layout" etc.
+  // unknown "layout:..." still points at a layout backend.
   const std::size_t colon = backend.find(':');
   if (colon != std::string_view::npos) {
     const std::string_view family = backend.substr(0, colon + 1);
@@ -1084,12 +1029,9 @@ std::unique_ptr<Predictor<T>> make_layout_predictor(
         std::move(score), exec::to_string(exec::FlintVariant::Encoded),
         options.block_size, forest, exec::FlintVariant::Encoded);
   }
-  typename exec::artifacts::ExecArtifacts<T>::Image image;
-  try {
-    image = art.release_planned_image();
-  } catch (const std::invalid_argument& e) {
-    throw cannot_pack(e.what());
-  }
+  std::string why;
+  auto image = art.try_image_at(art.plan().width, art.plan().hot_depth, &why);
+  if (!image) throw cannot_pack(why);
   return std::visit(
       [&](auto& packed) {
         using Image = std::decay_t<decltype(packed)>;
@@ -1100,7 +1042,7 @@ std::unique_ptr<Predictor<T>> make_layout_predictor(
         return make_engine<ImageExec<T, Engine>>(
             std::move(score), std::string{}, std::move(packed), art.plan());
       },
-      image);
+      *image);
 }
 
 /// quant:affine — the deterministic lossy path: every feature with splits
@@ -1130,94 +1072,6 @@ std::unique_ptr<Predictor<T>> make_quant_affine_predictor(
   return make_engine<ImageExec<T, layout::Q4ForestEngine<T>>>(
       std::move(score), "quant:affine(" + art.plan().describe() + ")",
       std::move(*packed), art.plan());
-}
-
-/// Bumped whenever generate_layout's output changes shape, so stale cache
-/// entries from an older generator can never be served.
-constexpr std::uint64_t kLayoutGenVersion = 2;
-
-/// jit:layout toolchain: the module is compiled on the machine that runs it,
-/// so target the host ISA and let the optimizer unroll the short fixed-trip
-/// lockstep loops — that is what turns the complete-table descent into
-/// vectorized gathers.  Callers who set their own extra_flags keep them.
-jit::JitOptions layout_jit_toolchain(const jit::JitOptions& base) {
-  jit::JitOptions tuned = base;
-  tuned.opt_level = std::max(tuned.opt_level, 3);
-  if (tuned.extra_flags.empty()) {
-    tuned.extra_flags = {"-march=native", "-funroll-loops"};
-  }
-  return tuned;
-}
-
-/// Content hash for the compile cache: everything that influences the
-/// generated object — forest content, scalar width, model semantics
-/// (vote vs. score, leaf table, base offsets), plan knobs the generator
-/// reads, and the JIT toolchain options.
-template <typename T>
-std::uint64_t layout_jit_key(std::uint64_t content, const jit::JitOptions& jopt,
-                             const codegen::LayoutCGenSpec<T>& spec,
-                             const exec::layout::LayoutPlan& plan) {
-  core::Fnv1a64 h;
-  h.add(kLayoutGenVersion);
-  h.add(content);
-  h.add(static_cast<std::uint32_t>(sizeof(T)));
-  h.add(static_cast<std::uint8_t>(spec.vote));
-  h.add(static_cast<std::uint64_t>(spec.n_outputs));
-  for (const T v : spec.leaf_values) h.add(core::si_bits(v));
-  for (const T v : spec.base) h.add(core::si_bits(v));
-  h.add_string(jopt.compiler);
-  h.add(jopt.opt_level);
-  for (const auto& flag : jopt.extra_flags) h.add_string(flag);
-  h.add(static_cast<std::uint32_t>(plan.hot_depth));
-  h.add(static_cast<std::uint64_t>(plan.block_size));
-  return h.digest();
-}
-
-/// jit:layout factory: one artifact build, one generated module (vote body,
-/// or score body with the leaf table and base offsets as generated
-/// immediates), shared through the process-wide compile cache.  NaN default
-/// directions and categorical masks are generated code, so special forests
-/// are served natively, never via interpreter fallback.
-template <typename T>
-std::unique_ptr<Predictor<T>> make_layout_jit_predictor(
-    const trees::Forest<T>& forest, std::optional<ScoreSpec<T>> score,
-    const PredictorOptions& options) {
-  exec::artifacts::ExecArtifacts<T> art(forest, options.block_size);
-  const exec::layout::CompactForest<T, exec::layout::CompactNode16>* image;
-  try {
-    image = &art.compact16();
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(
-        std::string("make_predictor: jit:layout cannot pack this model (") +
-        e.what() + ")");
-  }
-  codegen::LayoutCGenSpec<T> spec;
-  spec.vote = !score;
-  spec.num_classes = score ? score->num_classes : forest.num_classes();
-  if (score) {
-    spec.n_outputs = score->n_outputs;
-    spec.leaf_values = score->leaf_values;
-    spec.base = score->base;
-  }
-  const auto gen = [&] {
-    return codegen::generate_layout(*image, art.plan(), spec);
-  };
-  const jit::JitOptions tuned = layout_jit_toolchain(options.jit);
-  std::shared_ptr<const jit::JitModule> module;
-  try {
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), tuned, spec, art.plan()), gen,
-        tuned);
-  } catch (const std::runtime_error&) {
-    // Host-tuned flags can be rejected by exotic toolchains; the portable
-    // flag set compiles the same module everywhere.
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), options.jit, spec, art.plan()),
-        gen, options.jit);
-  }
-  return make_engine<JitLayoutExec<T>>(std::move(score), std::move(module),
-                                       spec.vote, forest.num_classes(),
-                                       forest.feature_count());
 }
 
 /// The one backend dispatch: vote forests (no ScoreSpec) and additive
@@ -1251,9 +1105,6 @@ std::unique_ptr<Predictor<T>> make_backend(const trees::Forest<T>& forest,
   }
   if (backend == "quant:affine") {
     return make_quant_affine_predictor(forest, std::move(score), options);
-  }
-  if (backend == "jit:layout") {
-    return make_layout_jit_predictor(forest, std::move(score), options);
   }
   throw_unknown_backend(backend);
 }

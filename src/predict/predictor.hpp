@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "jit/options.hpp"
 #include "model/forest_model.hpp"
 #include "trees/forest.hpp"
 
@@ -101,7 +100,7 @@ class Predictor {
  public:
   virtual ~Predictor() = default;
 
-  /// Backend id, e.g. "encoded", "jit:layout", "parallel(float,x4)".
+  /// Backend id, e.g. "encoded", "layout:c16/slab6/il8/pf", "parallel(float,x4)".
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual int num_classes() const noexcept = 0;
   [[nodiscard]] virtual std::size_t feature_count() const noexcept = 0;
@@ -220,14 +219,12 @@ struct PredictorOptions {
   /// 0 means available_parallelism() (hardware_concurrency capped by the
   /// cgroup CPU quota).
   unsigned threads = 1;
-  /// Compiler settings for the "jit:" backends.
-  jit::JitOptions jit;
 };
 
 /// Builds a predictor for `backend` from a trained forest.  The forest does
 /// not need to outlive the predictor.  Throws std::invalid_argument for an
-/// unknown backend name (message lists the vocabulary) and propagates JIT
-/// compilation failures.  Backends:
+/// unknown backend name (message lists the vocabulary) or a pinned width the
+/// model cannot be packed at.  Backends:
 ///
 ///   reference                 per-sample Forest::predict (votes allocated
 ///                             per call; the semantics baseline)
@@ -257,23 +254,14 @@ struct PredictorOptions {
 ///                             the deterministic lossy configuration the
 ///                             quantization benches and accuracy gates
 ///                             measure
-///   jit:layout                generated C compiled in-process from the SAME
-///                             CompactNode16 image the layout engine
-///                             executes (exec/artifacts): FLInt thresholds
-///                             as immediates, tile-blocked batch bodies,
-///                             NaN/categorical routing generated — no
-///                             interpreter fallback; modules are shared
-///                             through a content-hash compile cache
-///                             (jit/cache.hpp)
 ///
-/// The codegen emitters' other flavors (ifelse, native, cags, asm) are not
-/// predictor backends; the experiment harness wraps them in JitPredictor
+/// The codegen emitters (ifelse, native, cags, asm) are not predictor
+/// backends; the experiment harness wraps them in JitPredictor
 /// (predict/jit_predictor.hpp) directly.
 ///
 /// Forests with default-direction or categorical nodes
 /// (Forest::has_special_splits) are served with NaN routing compiled in and
-/// the result's MissingPolicy accepts NaN — in every backend, jit:layout
-/// included.
+/// the result's MissingPolicy accepts NaN — in every backend.
 template <typename T>
 [[nodiscard]] std::unique_ptr<Predictor<T>> make_predictor(
     const trees::Forest<T>& forest, std::string_view backend,
@@ -297,10 +285,6 @@ template <typename T>
 ///                             compact fits
 ///   quant:affine              Q4ForestEngine::predict_scores with the
 ///                             all-affine plan
-///   jit:layout                generated accumulate-scores body over the
-///                             compact image with the model's leaf-value
-///                             table embedded (tree-order accumulation,
-///                             bit-identical to the blocked interpreters)
 ///
 /// predict_batch on the result classifies via the aggregation (argmax /
 /// sigmoid threshold) when model.is_classifier(), and throws
@@ -315,21 +299,18 @@ template <typename T>
     const model::ForestModel<T>& model, std::string_view backend,
     const PredictorOptions& options = {});
 
-/// Backend names that need no JIT toolchain (interpreters + reference).
+/// Backend names of the interpreters (plus the reference).
 [[nodiscard]] std::vector<std::string> interpreter_backends();
 /// Backend names of the compact cache-aware layouts (exec/layout).
 [[nodiscard]] std::vector<std::string> layout_backends();
 /// Backend names of the quantized-execution configurations (quant:affine —
 /// the 4-byte pipeline with the lossy all-affine plan pinned).
 [[nodiscard]] std::vector<std::string> quant_backends();
-/// Backend names routed through codegen + in-process compilation.
-[[nodiscard]] std::vector<std::string> jit_backends();
 /// One-line vocabulary string for CLI usage/error messages.
 [[nodiscard]] std::string backend_help();
 /// True iff `backend` is a name make_predictor accepts (lists + aliases) —
 /// the single vocabulary check for callers that want to validate a name
-/// without constructing a predictor (e.g. the CLI on an empty dataset,
-/// where jit:* construction would compile and load code for nothing).
+/// without constructing a predictor.
 [[nodiscard]] bool is_known_backend(std::string_view backend);
 
 /// Nearest valid backend name by edit distance (for "did you mean ...?"

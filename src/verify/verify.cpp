@@ -6,7 +6,9 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/interpreter.hpp"
@@ -797,59 +799,74 @@ Report verify_model(const model::ForestModel<T>& m) {
   const auto& forest = m.forest;
   try {
     // One artifact build feeds every packed check below — verify_model
-    // inspects exactly the images the engines and the code generator bind,
-    // not freshly packed lookalikes.
+    // inspects exactly the images the engines bind, not freshly planned
+    // lookalikes.  Each image is packed for its check and dropped after it,
+    // so at most one is resident on top of the model and the key tables.
     exec::artifacts::ExecArtifacts<T> art(forest);
     verify_tables(forest, art.tables(), report);
     report.artifacts_checked.push_back("tables");
     if (!report.ok()) return report;
 
-    verify_packed_nodes(forest, art.packed_engine(), report);
-    report.artifacts_checked.push_back("packed");
-
-    // Every width at hot depths 0 and 4 covers both placements; the planned
-    // image — plan().width at plan().hot_depth, the bytes
-    // make_predictor(…, "layout:auto") binds — is checked too and named.
     using exec::layout::NodeWidth;
     const auto& plan = art.plan();
+    // Checks the image of `width` at `hot_depth`; false when the model is
+    // not representable at that width.
+    const auto check_image = [&](NodeWidth width, std::size_t hot_depth) {
+      const auto image = art.try_image_at(width, hot_depth);
+      if (!image) return false;
+      const std::string label = to_string(width);
+      std::visit(
+          [&](const auto& img) {
+            using Img = std::decay_t<decltype(img)>;
+            constexpr bool q4 = std::is_same_v<Img, exec::layout::Q4Forest<T>>;
+            if constexpr (q4) {
+              verify_q4(forest, img, art.tables(), report);
+            } else {
+              verify_compact(forest, img, art.tables(), report,
+                             label.c_str());
+            }
+            if (hot_depth == 0 && img.hot_nodes != 0) {
+              report.add({q4 ? "q4.hot" : "compact.hot", label, -1, -1,
+                          "pure-DFS plan produced a hot slab"});
+            }
+          },
+          *image);
+      return true;
+    };
+    // The planned image — plan().width at plan().hot_depth, the bytes
+    // make_predictor(…, "layout:auto") binds — is checked first: an auto
+    // Q4 plan's image has been held since the bundle packed it to test its
+    // contract, and taking it now drops it before any other image is
+    // packed.
+    const bool planned_packed = check_image(plan.width, plan.hot_depth);
+
+    verify_packed_nodes(
+        forest,
+        exec::FlintForestEngine<T>(forest, exec::FlintVariant::Encoded),
+        report);
+    report.artifacts_checked.push_back("packed");
+
+    // Every width at hot depths 0 and 4 covers both placements; the
+    // planned pair, already checked above, is named where it falls.
     std::vector<std::size_t> depths = {0, 4};
     if (plan.hot_depth != 0 && plan.hot_depth != 4) {
       depths.push_back(plan.hot_depth);
     }
     for (const std::size_t hot_depth : depths) {
-      const auto wanted = [&](NodeWidth w) {
-        return hot_depth == 0 || hot_depth == 4 || w == plan.width;
-      };
-      const auto checked = [&](NodeWidth w) {
-        if (hot_depth == 0) report.artifacts_checked.emplace_back(to_string(w));
-        if (w == plan.width && hot_depth == plan.hot_depth) {
+      for (const NodeWidth width :
+           {NodeWidth::C16, NodeWidth::C8, NodeWidth::Q4}) {
+        const bool planned =
+            width == plan.width && hot_depth == plan.hot_depth;
+        if (hot_depth != 0 && hot_depth != 4 && !planned) continue;
+        if (!(planned ? planned_packed : check_image(width, hot_depth))) {
+          continue;
+        }
+        if (hot_depth == 0) {
+          report.artifacts_checked.push_back(to_string(width));
+        }
+        if (planned) {
           report.artifacts_checked.push_back("planned:" + plan.describe());
         }
-      };
-      if (const auto* c16 = wanted(NodeWidth::C16)
-                                ? art.try_compact16_at(hot_depth)
-                                : nullptr) {
-        verify_compact(forest, *c16, art.tables(), report, "c16");
-        if (hot_depth == 0 && c16->hot_nodes != 0) {
-          report.add({"compact.hot", "c16", -1, -1,
-                      "pure-DFS plan produced a hot slab"});
-        }
-        checked(NodeWidth::C16);
-      }
-      if (const auto* c8 = wanted(NodeWidth::C8)
-                               ? art.try_compact8_at(hot_depth)
-                               : nullptr) {
-        verify_compact(forest, *c8, art.tables(), report, "c8");
-        checked(NodeWidth::C8);
-      }
-      if (const auto* q4 =
-              wanted(NodeWidth::Q4) ? art.try_q4_at(hot_depth) : nullptr) {
-        verify_q4(forest, *q4, art.tables(), report);
-        if (hot_depth == 0 && q4->hot_nodes != 0) {
-          report.add({"q4.hot", "q4", -1, -1,
-                      "pure-DFS plan produced a hot slab"});
-        }
-        checked(NodeWidth::Q4);
       }
     }
   } catch (const std::exception& e) {

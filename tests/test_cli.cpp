@@ -133,11 +133,29 @@ TEST_F(CliWorkflow, PredictEmptyDatasetAndRetiredEngines) {
   EXPECT_EQ(bad.code, 2);
   // Retired backends are unknown names, on both paths.
   for (const std::string& data : {empty_csv, csv_}) {
-    auto retired = run_cli({"predict", "--model", model_, "--data", data,
-                            "--engine", "simd:flint"});
-    EXPECT_NE(retired.code, 0) << data;
-    EXPECT_NE(retired.err.find("unknown backend"), std::string::npos)
-        << retired.err;
+    for (const std::string engine : {"simd:flint", "jit:layout"}) {
+      auto retired = run_cli({"predict", "--model", model_, "--data", data,
+                              "--engine", engine});
+      EXPECT_NE(retired.code, 0) << data << " " << engine;
+      EXPECT_NE(retired.err.find("unknown backend"), std::string::npos)
+          << retired.err;
+    }
+  }
+  // Both paths build the predictor, so a pinned width the model cannot be
+  // packed at fails on the empty CSV too: 40000 classes overflow c8's
+  // int16 leaf key.
+  const std::string wide_model = (dir_ / "wide_classes.forest").string();
+  {
+    std::ofstream f(wide_model);
+    f << "forest v1 40000 1\ntree 11 3\nn 0 4273fa0c 1 2 -1\n"
+         "n -1 0 -1 -1 1\nn -1 0 -1 -1 39999\n";
+  }
+  for (const std::string& data : {empty_csv, csv_}) {
+    auto unpackable = run_cli({"predict", "--model", wide_model, "--data",
+                               data, "--engine", "layout:c8"});
+    EXPECT_NE(unpackable.code, 0) << data;
+    EXPECT_NE(unpackable.err.find("cannot pack"), std::string::npos)
+        << data << ": " << unpackable.err;
   }
   // --train-data only fed the retired jit:cags-* backends; predict no
   // longer accepts it (codegen still does).
@@ -210,6 +228,12 @@ TEST_F(CliWorkflow, ServeLineProtocol) {
                                 "drop-all"}, "").code, 2);
   EXPECT_EQ(run_cli_with_input({"serve", "--model", "/nonexistent.forest"},
                                "").code, 2);
+  // The retired generated-module backend is an unknown name to serve too.
+  auto retired = run_cli_with_input(
+      {"serve", "--model", model_, "--engine", "jit:layout"}, "");
+  EXPECT_NE(retired.code, 0);
+  EXPECT_NE(retired.err.find("unknown backend"), std::string::npos)
+      << retired.err;
 }
 
 TEST_F(CliWorkflow, PredictLabelsOutput) {

@@ -3,7 +3,6 @@
 // interpreter, for float and double, across datasets (parameterized).
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -12,9 +11,7 @@
 
 #include "codegen/cgen_cags.hpp"
 #include "codegen/cgen_ifelse.hpp"
-#include "codegen/cgen_layout.hpp"
 #include "codegen/cgen_native.hpp"
-#include "exec/artifacts/artifacts.hpp"
 #include "data/split.hpp"
 #include "data/synth.hpp"
 #include "exec/interpreter.hpp"
@@ -231,77 +228,6 @@ TEST(DoubleWidthCodegen, IfElseFlintMatchesReference) {
       ASSERT_EQ(classify(full.row(r).data()), forest.predict(full.row(r)))
           << "flint=" << flint_mode << " row " << r;
     }
-  }
-}
-
-// ---- Layout generator (jit:layout): built from the compact image -------- //
-
-TEST(LayoutCodegen, BatchMatchesForestPredictUnrolledAndDegraded) {
-  const auto full =
-      flint::data::generate<float>(flint::data::magic_spec(), 21, 900);
-  flint::trees::ForestOptions fopt;
-  fopt.n_trees = 4;
-  fopt.tree.max_depth = 8;
-  const auto forest = flint::trees::train_forest(full, fopt);
-
-  flint::exec::artifacts::ExecArtifacts<float> art(forest);
-  const auto& image = art.compact16();
-  flint::codegen::LayoutCGenSpec<float> spec;
-  spec.vote = true;
-  spec.num_classes = forest.num_classes();
-
-  // Two generator configurations over the same image: everything unrolled,
-  // and a starvation budget forcing every tree onto the hot-spine + walker
-  // body.  Both must be bit-identical to Forest::predict.
-  for (const std::size_t per_tree_budget : {std::size_t{100000},
-                                            std::size_t{0}}) {
-    flint::codegen::LayoutCGenOptions gopt;
-    gopt.per_tree_unroll_nodes = per_tree_budget;
-    const auto code =
-        flint::codegen::generate_layout(image, art.plan(), spec, gopt);
-    ASSERT_EQ(code.flavor, "layout");
-    const auto module = flint::jit::compile(code);
-    using BatchFn = void(const float*, long long, std::int32_t*);
-    auto* batch = module.function<BatchFn>("forest_predict_batch");
-    std::vector<std::int32_t> out(full.rows(), -1);
-    std::vector<float> flat;
-    for (std::size_t r = 0; r < full.rows(); ++r) {
-      const auto row = full.row(r);
-      flat.insert(flat.end(), row.begin(), row.end());
-    }
-    batch(flat.data(), static_cast<long long>(full.rows()), out.data());
-    for (std::size_t r = 0; r < full.rows(); ++r) {
-      ASSERT_EQ(out[r], forest.predict(full.row(r)))
-          << "budget " << per_tree_budget << " row " << r;
-    }
-  }
-}
-
-TEST(LayoutCodegen, ThresholdImmediatesNotFloatCompares) {
-  const auto full =
-      flint::data::generate<float>(flint::data::wine_spec(), 9, 500);
-  flint::trees::ForestOptions fopt;
-  fopt.n_trees = 2;
-  fopt.tree.max_depth = 6;
-  const auto forest = flint::trees::train_forest(full, fopt);
-  flint::exec::artifacts::ExecArtifacts<float> art(forest);
-  flint::codegen::LayoutCGenSpec<float> spec;
-  spec.vote = true;
-  spec.num_classes = forest.num_classes();
-  const auto code =
-      flint::codegen::generate_layout(art.compact16(), art.plan(), spec);
-  const std::string& src = code.files.at(0).content;
-  // FLInt discipline: features load through the memcpy loader and compare
-  // as integers; no float literal ever reaches a comparison.
-  EXPECT_NE(src.find("memcpy"), std::string::npos);
-  EXPECT_EQ(src.find(" <= -0."), std::string::npos);
-  // A float-literal compare would end "...<digit>f) {"; the loop headers'
-  // "++f) {" is the only benign "f)" and has no digit before it.
-  for (std::size_t at = src.find("f) {"); at != std::string::npos;
-       at = src.find("f) {", at + 1)) {
-    ASSERT_GT(at, 0u);
-    EXPECT_FALSE(std::isdigit(static_cast<unsigned char>(src[at - 1])))
-        << "float literal present near offset " << at;
   }
 }
 

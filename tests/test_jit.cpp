@@ -1,14 +1,10 @@
-// Unit tests for the compile-and-dlopen JIT runtime and its compile cache.
+// Unit tests for the compile-and-dlopen JIT runtime.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "codegen/emit.hpp"
-#include "jit/cache.hpp"
 #include "jit/jit.hpp"
-#include "predict/predictor.hpp"
-#include "trees/forest.hpp"
-#include "trees/tree.hpp"
 
 namespace {
 
@@ -111,74 +107,6 @@ TEST(Jit, MoveTransfersOwnership) {
   auto b = std::move(a);
   EXPECT_EQ(b.function<int(void)>("f")(), 9);
   EXPECT_EQ(b.dir(), dir);
-}
-
-// ---------------------------------------------------------------------------
-// Compile cache: one module per distinct content key, shared thereafter.
-// ---------------------------------------------------------------------------
-
-TEST(CompileCache, SameKeyHitsGeneratorRunsOnce) {
-  auto& cache = flint::jit::CompileCache::instance();
-  cache.clear();
-  int generator_runs = 0;
-  const auto make = [&] {
-    ++generator_runs;
-    flint::codegen::GeneratedCode code;
-    code.files = {{"g.c", "int g(void){return 7;}\n"}};
-    code.classify_symbol = "g";
-    code.flavor = "test";
-    return code;
-  };
-  bool hit = true;
-  double ms = -1.0;
-  const auto first = cache.get_or_compile(0xABCDu, make, {}, &hit, &ms);
-  EXPECT_FALSE(hit);
-  EXPECT_GT(ms, 0.0);
-  EXPECT_EQ(generator_runs, 1);
-  const auto second = cache.get_or_compile(0xABCDu, make, {}, &hit, &ms);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(ms, 0.0);
-  EXPECT_EQ(generator_runs, 1);       // generator never re-ran
-  EXPECT_EQ(first.get(), second.get());  // same loaded module shared
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-/// Two-leaf stump forest with a controllable root threshold.
-flint::trees::Forest<float> stump_forest(float threshold) {
-  flint::trees::Tree<float> t(2);
-  const auto root = t.add_split(0, threshold);
-  const auto l = t.add_leaf(0);
-  const auto r = t.add_leaf(1);
-  t.link(root, l, r);
-  std::vector<flint::trees::Tree<float>> trees;
-  trees.push_back(std::move(t));
-  return flint::trees::Forest<float>(std::move(trees), 2);
-}
-
-TEST(CompileCache, JitLayoutReusesModulesAcrossPredictors) {
-  auto& cache = flint::jit::CompileCache::instance();
-  cache.clear();
-  const auto forest = stump_forest(0.5f);
-
-  // Same model twice: the second predictor reuses the compiled module.
-  (void)flint::predict::make_predictor(forest, "jit:layout");
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  (void)flint::predict::make_predictor(forest, "jit:layout");
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // One mutated threshold changes the content hash: miss + recompile, and
-  // the new module really carries the new split.
-  const auto mutated = stump_forest(0.75f);
-  const auto predictor = flint::predict::make_predictor(mutated, "jit:layout");
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  const float x_left[] = {0.6f, 0.0f};   // 0.5 < 0.6 <= 0.75: left only now
-  const float x_right[] = {0.9f, 0.0f};
-  EXPECT_EQ(predictor->predict_one(x_left), 0);
-  EXPECT_EQ(predictor->predict_one(x_right), 1);
 }
 
 }  // namespace

@@ -309,11 +309,7 @@ TEST(MissingFuzz, EveryBackendMatchesNaiveIeeeOracle) {
 
     PredictorOptions opt;
     opt.block_size = (f % 3 == 0) ? 7 : 64;  // exercise partial blocks
-    auto round_backends = backends;
-    // jit:layout invokes the C toolchain per forest, so it joins the
-    // differential on a sampled subset rather than every iteration.
-    if (f % 16 == 0) round_backends.emplace_back("jit:layout");
-    for (const auto& backend : round_backends) {
+    for (const auto& backend : backends) {
       const auto predictor = make_predictor(forest, backend, opt);
       std::vector<std::int32_t> out(samples_per_forest, -1);
       predictor->predict_batch(features, samples_per_forest, out);
@@ -403,9 +399,7 @@ TEST(MissingFuzz, ScoreBackendsMatchNaiveAccumulation) {
                 expected.begin() + s * static_cast<std::size_t>(k));
     }
 
-    auto round_backends = backends;
-    if (m % 16 == 0) round_backends.emplace_back("jit:layout");
-    for (const auto& backend : round_backends) {
+    for (const auto& backend : backends) {
       const auto predictor = make_predictor(model, backend);
       ASSERT_EQ(predictor->num_outputs(), k) << backend;
       std::vector<float> out(expected.size(),
@@ -508,9 +502,7 @@ TEST(MissingNanBits, EveryNanPatternRoutesIdenticallyOnEveryBackend) {
 
   const std::int32_t nan_expected =
       oracle_vote(forest, &probes[0]);  // probes[0] is a NaN pattern
-  auto probe_backends = vote_backends();
-  probe_backends.emplace_back("jit:layout");  // one forest, one compile
-  for (const auto& backend : probe_backends) {
+  for (const auto& backend : vote_backends()) {
     const auto predictor = make_predictor(forest, backend);
     for (const float v : probes) {
       const std::int32_t want = oracle_vote(forest, &v);
@@ -622,28 +614,6 @@ TEST(MissingGate, ZeroAsMissingRewritesExactlyTheDocumentedBand) {
     ASSERT_EQ(predictor->predict_one({&present, 1}), want)
         << "value " << present << " must NOT rewrite to missing";
   }
-}
-
-TEST(MissingGate, JitLayoutServesSpecialForestsNatively) {
-  // jit:layout generates NaN-mask consults and categorical membership tests
-  // into the module itself — special forests get real generated code, not
-  // an interpreter fallback, and the predictor keeps its own name.
-  std::mt19937_64 rng(77);
-  const auto forest = random_vote_forest(rng);
-  const auto predictor = make_predictor(forest, "jit:layout");
-  EXPECT_EQ(predictor->name(), "jit:layout");
-  EXPECT_TRUE(predictor->missing_policy().allow_nan);
-  const std::size_t cols = forest.feature_count();
-  const auto features = adversarial_inputs(forest, 64, rng);
-  std::vector<std::int32_t> out(64, -1);
-  predictor->predict_batch(features, 64, out);
-  for (std::size_t s = 0; s < 64; ++s) {
-    ASSERT_EQ(out[s], oracle_vote(forest, features.data() + s * cols))
-        << "sample " << s;
-  }
-  // Unknown jit names still fail fast instead of silently falling back.
-  EXPECT_THROW((void)make_predictor(forest, "jit:warp"),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -551,7 +551,7 @@ TEST(PredictScores, AllBackendsMatchPerTreeAccumulation) {
     const auto expected = manual_scores(m, rows, n);
     for (const char* backend :
          {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-          "layout:auto", "layout:c16", "jit:layout"}) {
+          "layout:auto", "layout:c16"}) {
       const auto predictor = predict::make_predictor(m, backend);
       ASSERT_TRUE(predictor->supports_scores()) << backend;
       EXPECT_EQ(predictor->num_outputs(), k) << backend;
@@ -565,16 +565,6 @@ TEST(PredictScores, AllBackendsMatchPerTreeAccumulation) {
       }
     }
   }
-}
-
-TEST(PredictScores, JitLayoutServesScoresNatively) {
-  // jit:layout generates its own accumulate-scores body — no interpreter
-  // fallback, the predictor keeps the real backend name.
-  const auto m = make_score_model(1, model::Link::Sigmoid);
-  const auto predictor = predict::make_predictor(m, "jit:layout");
-  EXPECT_EQ(predictor->name(), "jit:layout");
-  EXPECT_THROW((void)predict::make_predictor(m, "jit:nonsense"),
-               std::invalid_argument);
 }
 
 TEST(PredictScores, ClassesAgreeWithScoreReduction) {

@@ -137,11 +137,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("layout:auto", "layout:c16", "layout:c8", "layout:q4"),
     [](const auto& info) { return info.param.substr(7); });
 
-INSTANTIATE_TEST_SUITE_P(
-    JitBackends, BackendEquivalence,
-    ::testing::Values("jit:layout"),
-    [](const auto& info) { return info.param.substr(4); });
-
 TEST_F(TrainedForest, BlockSizeDoesNotChangeResults) {
   const std::size_t n = 523;  // prime: exercises every partial-block path
   const auto features = adversarial_features(forest_, n, 5);
@@ -323,12 +318,13 @@ TEST_F(TrainedForest, UnknownBackendThrowsWithVocabulary) {
     EXPECT_NE(message.find("warp"), std::string::npos);
     EXPECT_NE(message.find("theorem1"), std::string::npos) << message;
   }
-  // Retired flavors are unknown names; the error steers to jit:layout.
+  // Retired flavors are unknown names; the error lists the vocabulary.
   try {
     (void)make_predictor(forest_, "jit:cags-flint");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("jit:layout"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(flint::predict::backend_help()),
+              std::string::npos)
         << e.what();
   }
 }
@@ -343,12 +339,13 @@ TEST_F(TrainedForest, UnknownBackendSuggestsNearestName) {
               std::string::npos)
         << e.what();
   }
-  // An unknown name in a known family points at that family's member.
+  // An unknown name in a known family points at that family's member, even
+  // when it is too far from every name to be a near-miss.
   try {
-    (void)make_predictor(forest_, "jit:warp");
+    (void)make_predictor(forest_, "layout:nonexistent-width");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("did you mean 'jit:"),
+    EXPECT_NE(std::string(e.what()).find("did you mean 'layout:"),
               std::string::npos)
         << e.what();
   }
@@ -361,8 +358,7 @@ TEST_F(TrainedForest, UnknownBackendSuggestsNearestName) {
 // compact-layout backend families.
 // ---------------------------------------------------------------------------
 
-/// Backends every degenerate shape must survive (jit:* is out of scope for
-/// this satellite; the codegen suites cover it on regular shapes).
+/// Backends every degenerate shape must survive.
 const char* const kDegenerateBackends[] = {"encoded",    "layout:auto",
                                            "layout:c16", "layout:c8",
                                            "layout:q4"};
@@ -461,8 +457,7 @@ TEST(PredictorDouble, DoubleWidthBackendsMatchForestPredict) {
   const auto forest = flint::trees::train_forest(full, opt);
   for (const char* backend :
        {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-        "layout:auto", "layout:c16", "layout:c8", "layout:q4",
-        "jit:layout"}) {
+        "layout:auto", "layout:c16", "layout:c8", "layout:q4"}) {
     const auto predictor = make_predictor(forest, backend);
     std::vector<std::int32_t> out(full.rows());
     predictor->predict_batch(full, out);
@@ -549,9 +544,6 @@ TEST(PredictorNames, BackendListsAreConsistent) {
   const auto quant = flint::predict::quant_backends();
   EXPECT_EQ(quant.size(), 1u);
   EXPECT_EQ(quant.front(), "quant:affine");
-  const auto jit = flint::predict::jit_backends();
-  EXPECT_EQ(jit.size(), 1u);
-  EXPECT_EQ(jit.front(), "jit:layout");
   const auto help = flint::predict::backend_help();
   for (const auto& name : interp) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
@@ -560,17 +552,14 @@ TEST(PredictorNames, BackendListsAreConsistent) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
     EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
   }
-  for (const auto& name : jit) {
-    EXPECT_NE(help.find(name), std::string::npos) << name;
-    EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
-  }
   for (const auto& name : quant) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
     EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
   }
 
-  // Retired backends — the deleted SoA lane engines and the seven legacy
-  // codegen flavors — are unknown names: rejected by the vocabulary check
+  // Retired backends — the deleted SoA lane engines, the seven legacy
+  // codegen flavors and the generated compact-layout module — are unknown
+  // names: rejected by the vocabulary check
   // and by the factory, whose message lists the live vocabulary.
   const auto data =
       flint::data::generate<float>(flint::data::wine_spec(), 5, 200);
@@ -581,7 +570,7 @@ TEST(PredictorNames, BackendListsAreConsistent) {
   for (const char* retired :
        {"simd:flint", "simd:float", "jit:ifelse-float", "jit:ifelse-flint",
         "jit:native-float", "jit:native-flint", "jit:cags-float",
-        "jit:cags-flint", "jit:asm-x86"}) {
+        "jit:cags-flint", "jit:asm-x86", "jit:layout"}) {
     EXPECT_FALSE(flint::predict::is_known_backend(retired)) << retired;
     EXPECT_EQ(help.find(retired), std::string::npos) << retired;
     try {

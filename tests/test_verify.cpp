@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "exec/artifacts/artifacts.hpp"
+#include "exec/layout/plan.hpp"
 #include "model/forest_model.hpp"
 #include "model/loaders.hpp"
 #include "model/model_io.hpp"
@@ -124,6 +125,94 @@ TEST(VerifyClean, HandBuiltModelPasses) {
                       report.artifacts_checked.end(), planned),
             report.artifacts_checked.end())
       << planned;
+}
+
+/// A vote forest of complete depth-10 trees over four features, with
+/// thresholds drawn from 64 values per feature: the rank remap is cheap and
+/// the q4 keys exact, so the image size alone decides the planned width.
+/// `c16_l2_multiple` sizes the 16-byte image against the L2 the planner
+/// reads; `min_trees` floors the tree count.
+model::ForestModel<float> l2_scaled_model(double c16_l2_multiple,
+                                          std::size_t min_trees = 1) {
+  const auto cache = flint::exec::layout::detect_cache_info();
+  const double l2 = cache.l2_bytes ? static_cast<double>(cache.l2_bytes)
+                                   : 256.0 * 1024.0;
+  constexpr int kDepth = 10;
+  constexpr std::size_t kTreeNodes = (std::size_t{1} << (kDepth + 1)) - 1;
+  const auto n_trees = std::max(
+      min_trees,
+      static_cast<std::size_t>(c16_l2_multiple * l2 / 16.0 /
+                               static_cast<double>(kTreeNodes)) +
+          1);
+  std::uint32_t state = 1;
+  const auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return state;
+  };
+  std::vector<trees::Tree<float>> forest;
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    trees::Tree<float> tree(4);
+    const auto grow = [&](const auto& self, int depth) -> std::int32_t {
+      if (depth == kDepth) {
+        return tree.add_leaf(static_cast<std::int32_t>(next() % 3));
+      }
+      const std::uint32_t r = next();
+      const auto id = tree.add_split(static_cast<std::int32_t>(r >> 30),
+                                     static_cast<float>((r >> 8) % 64) * 0.5f);
+      const auto left = self(self, depth + 1);
+      const auto right = self(self, depth + 1);
+      tree.link(id, left, right);
+      return id;
+    };
+    grow(grow, 0);
+    forest.push_back(std::move(tree));
+  }
+  return model::from_vote_forest(trees::Forest<float>(std::move(forest), 3));
+}
+
+/// The exact audit trail: every width at hot depths 0 and 4, plus the
+/// planned pair when its depth is neither, each checked once — a dropped
+/// pair or a second check of the planned image changes nodes_checked.
+void expect_exact_coverage(const model::ForestModel<float>& m,
+                           flint::exec::layout::NodeWidth planned_width) {
+  const flint::exec::artifacts::ExecArtifacts<float> art(m.forest);
+  const auto& plan = art.plan();
+  ASSERT_EQ(plan.width, planned_width) << plan.describe();
+  const auto report = verify::verify_model(m);
+  ASSERT_TRUE(report.ok()) << checks_of(report);
+  const std::string planned = "planned:" + plan.describe();
+  std::vector<std::string> expected = {"model", "tables", "packed", "c16",
+                                       "c8", "q4"};
+  if (plan.hot_depth == 0) {
+    const auto at = std::find(expected.begin(), expected.end(),
+                              flint::exec::layout::to_string(plan.width));
+    expected.insert(at + 1, planned);
+  } else {
+    expected.push_back(planned);
+  }
+  EXPECT_EQ(report.artifacts_checked, expected);
+  // model structure + the wide packed image + one pass per compact image.
+  const std::size_t images =
+      6 + (plan.hot_depth != 0 && plan.hot_depth != 4 ? 1 : 0);
+  EXPECT_EQ(report.nodes_checked, (2 + images) * m.forest.total_nodes());
+}
+
+TEST(VerifyCoverage, C16PlanChecksEveryWidthAndDepthOnce) {
+  // 1.5x L2 at 16 bytes: spills L2 (hot slab) but stays under the 2x
+  // narrowing threshold, so the plan keeps c16.
+  expect_exact_coverage(l2_scaled_model(1.5),
+                        flint::exec::layout::NodeWidth::C16);
+}
+
+TEST(VerifyCoverage, Q4PlanChecksEveryWidthAndDepthOnce) {
+  // At least 3x L2 at 16 bytes with a cheap remap: the ladder lands on q4,
+  // whose image the bundle packs while planning and verify checks once.
+  // The remap is amortized only when 4 x remap steps (4 features x
+  // log2(splits per feature)) stay below the walk (trees x depth 10); 32
+  // trees clear that with margin even at the planner's 32 KiB L2 floor,
+  // where 3x L2 alone would give 4 trees.
+  expect_exact_coverage(l2_scaled_model(3.0, /*min_trees=*/32),
+                        flint::exec::layout::NodeWidth::Q4);
 }
 
 TEST(VerifyClean, InfiniteSplitsAreOrderedAndAccepted) {
