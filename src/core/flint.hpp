@@ -222,6 +222,14 @@ struct EncodedThreshold {
                                    const EncodedThreshold&) = default;
 };
 
+/// The -0.0 -> +0.0 split rewrite every threshold encoding applies before
+/// keying (+0.0 == -0.0 under IEEE, so the comparison `x <= s` is
+/// unchanged; see encode_threshold_le).
+template <FlintFloat T>
+[[nodiscard]] constexpr T normalize_zero(T split) noexcept {
+  return split == T{0} ? T{0} : split;
+}
+
 /// Encodes the split constant for a `x <= s` test.  A split of -0.0 is
 /// rewritten to +0.0 first: FLInt orders -0.0 < +0.0 while IEEE-754 treats
 /// them as equal, and the rewrite makes `x <= -0.0` (IEEE: true for x=+0.0)

@@ -27,9 +27,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <variant>
 
 #include "exec/layout/compact.hpp"
+#include "exec/layout/engine.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
@@ -65,10 +65,8 @@ class ExecArtifacts {
     return plan_;
   }
 
-  /// A compact image of any packed width.
-  using Image = std::variant<layout::CompactForest<T, layout::CompactNode16>,
-                             layout::CompactForest<T, layout::CompactNode8>,
-                             layout::Q4Forest<T>>;
+  /// A packed image of any width.
+  using Image = layout::PackedImage<T>;
 
   /// The image of `width` at `hot_depth`, packed by this call; std::nullopt
   /// with the packer's reason in `why` when the model is not representable

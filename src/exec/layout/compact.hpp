@@ -34,26 +34,19 @@
 //     working set every sample touches), and the subtrees hanging below
 //     the slab are emitted as preorder clusters behind it.
 //
-// Traversal comes in two shapes: a blocked batch loop (remap a block of
-// samples to narrow keys once, then stream each tree's nodes across the
-// block) and an interleaved latency path that walks `plan.interleave` trees
-// of ONE sample in lockstep, so independent node fetches overlap in the
-// out-of-order window, optionally software-prefetching the right
-// ("opposite" of the implicit left) child ahead of the compare.
+// Missing-value and categorical splits ride in spare node bits (see the
+// per-format comments below); categorical nodes number their category
+// sets through the CategorySlots tables every packed format shares.
 //
-// Bit-identical to Forest::predict on every input — including NaN routed
-// by per-node default directions and categorical membership splits, via a
-// Special traversal that consults per-sample NaN/membership masks computed
-// once at remap time (tests/test_layout.cpp, tests/test_predictor.cpp,
-// tests/test_missing.cpp).  Forests without special splits take the
-// original mask-free paths.
+// This header holds the formats, placement and packing; the one execution
+// engine over every packed image (these two and quant4.hpp's 4-byte word)
+// is exec/layout/engine.hpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "core/flint.hpp"
@@ -128,11 +121,78 @@ inline constexpr std::int32_t kC8CategoricalBit = 1 << 30;   ///< right_off bit 
   return n.right_off >= 0 ? (n.right_off & ~kC8CategoricalBit) : n.right_off;
 }
 
+/// Category side tables of a special-split image, shared by every packed
+/// format: each categorical NODE owns one engine slot (stored in its node
+/// key), so per-sample membership can be precomputed per slot without
+/// consulting the node again.
+struct CategorySlots {
+  std::vector<std::uint32_t> words;   ///< category bitsets, all slots
+  std::vector<std::int32_t> offsets;  ///< word offset per slot
+  std::vector<std::int32_t> sizes;    ///< word count per slot
+  std::vector<std::int32_t> feature;  ///< feature each slot tests
+
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return feature.size();
+  }
+  [[nodiscard]] std::span<const std::uint32_t> set_of_slot(
+      std::size_t s) const noexcept {
+    return {words.data() + static_cast<std::size_t>(offsets[s]),
+            static_cast<std::size_t>(sizes[s])};
+  }
+
+  /// Appends the slot of one categorical node; returns its index.
+  std::int64_t add(std::int32_t feature_index,
+                   std::span<const std::uint32_t> set) {
+    offsets.push_back(static_cast<std::int32_t>(words.size()));
+    sizes.push_back(static_cast<std::int32_t>(set.size()));
+    words.insert(words.end(), set.begin(), set.end());
+    feature.push_back(feature_index);
+    return static_cast<std::int64_t>(feature.size()) - 1;
+  }
+
+  /// Pack gate: true when every categorical node of `forest` (one slot
+  /// each) can be numbered by a key of at most `key_max`.
+  template <typename T>
+  [[nodiscard]] static bool fit(const trees::Forest<T>& forest,
+                                std::int64_t key_max) {
+    std::int64_t n_cat = 0;
+    for (std::size_t t = 0; t < forest.size(); ++t) {
+      for (const auto& n : forest.tree(t).nodes()) {
+        if (!n.is_leaf() && n.is_categorical()) ++n_cat;
+      }
+    }
+    return n_cat <= key_max;
+  }
+
+  /// Per-sample side masks the Special traversal consults before any key
+  /// compare: `nan_out[f]` = 1 iff x[f] is NaN (detected from the integer
+  /// encoding, (bits & abs_mask) > exp_mask); `member_out[s]` = 1 iff
+  /// x[feature[s]] is a member of slot s's category set.  `nan_out` needs
+  /// `feature_count` slots, `member_out` slot_count() slots.
+  template <typename T>
+  void special_masks(const T* x, std::size_t feature_count,
+                     std::uint8_t* nan_out, std::uint8_t* member_out) const {
+    for (std::size_t f = 0; f < feature_count; ++f) {
+      nan_out[f] = core::is_nan_bits<T>(core::si_bits(x[f])) ? 1 : 0;
+    }
+    for (std::size_t s = 0; s < feature.size(); ++s) {
+      const T v = x[static_cast<std::size_t>(feature[s])];
+      member_out[s] = (!core::is_nan_bits<T>(core::si_bits(v)) &&
+                       trees::cat_contains(set_of_slot(s), v))
+                          ? 1
+                          : 0;
+    }
+  }
+};
+
 /// A forest packed into one compact node array.  `Node` is CompactNode16
-/// or CompactNode8; `Key` follows its key field.
+/// or CompactNode8; `Key` follows its key field and is also the element
+/// type of remapped sample keys.
 template <typename T, typename Node>
 struct CompactForest {
   using Key = decltype(Node::key);
+  static constexpr NodeWidth kWidth =
+      sizeof(Node) == 16 ? NodeWidth::C16 : NodeWidth::C8;
 
   int num_classes = 0;
   std::size_t feature_count = 0;
@@ -142,90 +202,33 @@ struct CompactForest {
   std::vector<Node> nodes;       ///< all trees, placement per LayoutPlan
   std::vector<std::int32_t> roots;  ///< position of each tree's root
   KeyTableSet<T> tables;         ///< rank tables (empty when identity_keys)
+  CategorySlots cats;            ///< category slots (has_special only)
 
-  /// Category side tables (has_special only): every categorical NODE owns
-  /// one engine slot (its compact `key`), so per-sample membership can be
-  /// precomputed per slot without consulting the node again.
-  std::vector<std::uint32_t> cat_words;   ///< category bitsets, all slots
-  std::vector<std::int32_t> cat_offsets;  ///< word offset per slot
-  std::vector<std::int32_t> cat_sizes;    ///< word count per slot
-  std::vector<std::int32_t> cat_feature;  ///< feature each slot tests
-
-  [[nodiscard]] std::size_t cat_slot_count() const noexcept {
-    return cat_feature.size();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> cat_set_of_slot(
-      std::size_t s) const noexcept {
-    return {cat_words.data() + static_cast<std::size_t>(cat_offsets[s]),
-            static_cast<std::size_t>(cat_sizes[s])};
-  }
-
-  /// Per-sample side masks the Special traversal consults before any key
-  /// compare: `nan_out[f]` = 1 iff x[f] is NaN (detected from the integer
-  /// encoding, (bits & abs_mask) > exp_mask); `member_out[s]` = 1 iff
-  /// x[cat_feature[s]] is a member of slot s's category set.  `nan_out`
-  /// needs feature_count slots, `member_out` cat_slot_count() slots.
-  void special_masks(const T* x, std::uint8_t* nan_out,
-                     std::uint8_t* member_out) const {
-    for (std::size_t f = 0; f < feature_count; ++f) {
-      nan_out[f] = core::is_nan_bits<T>(core::si_bits(x[f])) ? 1 : 0;
-    }
-    for (std::size_t s = 0; s < cat_feature.size(); ++s) {
-      const T v = x[static_cast<std::size_t>(cat_feature[s])];
-      member_out[s] = (!core::is_nan_bits<T>(core::si_bits(v)) &&
-                       trees::cat_contains(cat_set_of_slot(s), v))
-                          ? 1
-                          : 0;
-    }
-  }
-
-  /// Remaps one sample to narrow comparison keys; `out` needs
-  /// feature_count slots.  Thread-safe.
-  void remap(const T* x, Key* out) const {
+  /// Remaps one sample to narrow comparison keys, feature f landing at
+  /// out[f * stride] (stride 8 writes one lane of the AVX2 kernel's
+  /// feature-major key tiles).  Thread-safe.
+  template <typename K>
+  void remap(const T* x, K* out, std::size_t stride = 1) const {
     if (identity_keys) {
       for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f] = static_cast<Key>(core::to_radix_key(x[f]));
+        out[f * stride] = static_cast<K>(core::to_radix_key(x[f]));
       }
     } else {
       for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f] = static_cast<Key>(tables.features[f].rank(x[f]));
+        out[f * stride] = static_cast<K>(tables.features[f].rank(x[f]));
       }
     }
   }
-
-  /// Same remap widened to int32 and written at `stride`-element spacing —
-  /// feature f lands at out[f * stride].  With stride = 8 this writes one
-  /// lane of the AVX2 kernels' feature-major key tiles directly.
-  void remap32(const T* x, std::int32_t* out, std::size_t stride) const {
-    if (identity_keys) {
-      for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f * stride] =
-            static_cast<std::int32_t>(core::to_radix_key(x[f]));
-      }
-    } else {
-      for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f * stride] = tables.features[f].rank(x[f]);
-      }
-    }
-  }
-};
-
-/// One slot of an emission order: which source node sits at this packed
-/// position.
-struct EmissionItem {
-  std::int32_t tree = 0;
-  std::int32_t node = 0;
 };
 
 /// The placement pass shared by every packed node format.  Placement is
-/// geometry-independent — it decides only the ORDER nodes are emitted in
-/// (hot slab spines breadth-first across trees, then preorder cold
-/// clusters; see the file comment) — so formats whose field widths depend
-/// on the resulting offsets (the 4-byte quantized word sizes its offset
-/// bits from max_right_offset) can compute the order first and pick their
-/// geometry second.
+/// geometry-independent — it decides only WHERE each node is emitted (hot
+/// slab spines breadth-first across trees, then preorder cold clusters;
+/// see the file comment) — so formats whose field widths depend on the
+/// resulting offsets (the 4-byte quantized word sizes its offset bits from
+/// max_right_offset) can place first and pick their geometry second.
+/// Packers fill nodes[pos[t][n]] walking the source trees in order.
 struct EmissionOrder {
-  std::vector<EmissionItem> order;  ///< packed position -> source node
   std::vector<std::vector<std::int32_t>> pos;  ///< [tree][node] -> position
   std::size_t hot_nodes = 0;  ///< leading nodes in the hot slab (0 = pure DFS)
   /// Largest relative right-child offset any inner node needs (0 when the
@@ -252,73 +255,6 @@ template <typename T, typename Node>
     const trees::Forest<T>& forest, const LayoutPlan& plan,
     const KeyTableSet<T>& tables, std::string* why = nullptr);
 
-/// Compact-layout execution engine: owns one packed forest (packed by
-/// try_pack — in production by exec/artifacts) and serves both traversal
-/// shapes.  The source Forest does not need to outlive it.
-/// predict/predict_batch are const-thread-safe (all vote and key scratch is
-/// function-local), so ParallelPredictor can partition batches without
-/// cloning.
-template <typename T>
-class LayoutForestEngine {
- public:
-  /// Binds an already-packed image without re-packing; `plan.width` is
-  /// overridden to match the image's node format.  Throws
-  /// std::invalid_argument on an empty image.
-  LayoutForestEngine(CompactForest<T, CompactNode16> packed,
-                     const LayoutPlan& plan);
-  LayoutForestEngine(CompactForest<T, CompactNode8> packed,
-                     const LayoutPlan& plan);
-
-  [[nodiscard]] const LayoutPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] std::size_t feature_count() const noexcept {
-    return feature_count_;
-  }
-  [[nodiscard]] std::size_t tree_count() const noexcept { return tree_count_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
-  /// Bytes per packed node (16 or 8).
-  [[nodiscard]] std::size_t node_bytes() const noexcept { return node_bytes_; }
-  /// Nodes in the shared hot slab (0 under pure DFS placement).
-  [[nodiscard]] std::size_t hot_node_count() const noexcept {
-    return hot_nodes_;
-  }
-
-  /// Classifies `n_samples` row-major samples into `out`.  Small batches
-  /// take the interleaved latency path, larger ones the blocked loop.
-  void predict_batch(const T* features, std::size_t n_samples,
-                     std::int32_t* out) const;
-
-  /// Float-accumulate epilogue for additive leaf-value models
-  /// (model/forest_model.hpp): each leaf's compact `key` payload indexes a
-  /// row of `leaf_values` (`n_outputs` values per row) and
-  /// `out[s*n_outputs+j]` becomes base[j] (zeros when `base` is empty)
-  /// plus the sum of the rows the sample's trees land on, accumulated in
-  /// tree order over the same remapped-key blocked lockstep traversal as
-  /// predict_batch.  Row indices must fit the packed key width — the same
-  /// pack-time gate that bounds class ids.  Thread-safe; zero samples =
-  /// no-op.
-  void predict_scores(const T* features, std::size_t n_samples,
-                      std::span<const T> leaf_values, std::size_t n_outputs,
-                      std::span<const T> base, T* out) const;
-
-  /// Majority-vote class for one sample (interleaved lockstep traversal).
-  [[nodiscard]] std::int32_t predict(std::span<const T> x) const;
-
- private:
-  template <typename Node>
-  void bind_packed(CompactForest<T, Node> packed);
-
-  LayoutPlan plan_;
-  int num_classes_ = 0;
-  std::size_t feature_count_ = 0;
-  std::size_t tree_count_ = 0;
-  std::size_t node_count_ = 0;
-  std::size_t node_bytes_ = 0;
-  std::size_t hot_nodes_ = 0;
-  std::variant<CompactForest<T, CompactNode16>, CompactForest<T, CompactNode8>>
-      packed_;
-};
-
 extern template EmissionOrder compute_emission_order<float>(
     const trees::Forest<float>&, std::size_t);
 extern template EmissionOrder compute_emission_order<double>(
@@ -340,7 +276,5 @@ try_pack<double, CompactNode16>(const trees::Forest<double>&,
 extern template std::optional<CompactForest<double, CompactNode8>>
 try_pack<double, CompactNode8>(const trees::Forest<double>&, const LayoutPlan&,
                                const KeyTableSet<double>&, std::string*);
-extern template class LayoutForestEngine<float>;
-extern template class LayoutForestEngine<double>;
 
 }  // namespace flint::exec::layout

@@ -1,21 +1,23 @@
-// exec/layout/kernels — architecture-specialized lockstep kernels over the
-// compact node formats.
+// exec/layout/kernels — the AVX2 lockstep kernel over the packed node
+// formats.
 //
-// The scalar blocked loop in compact.cpp walks kBlockLockstep samples in
-// lockstep per tree; on AVX2 hosts the same algorithm runs 8 lanes per
-// vector instruction instead.  Because a compact node is one contiguous
-// 16/8-byte record, a step costs 4 (c16) or 3 (c8) vpgatherdd loads — one
-// per field a struct-of-arrays image would spread over separate arrays —
-// and the gathered image stays small, which is what pays off once the
-// forest spills L2.
+// The engine's scalar blocked loop (engine.cpp) walks kBlockLockstep
+// samples in lockstep per tree; on AVX2 hosts the same algorithm runs 8
+// lanes per vector instruction instead.  One kernel template serves every
+// format through a per-format gather/decode step: a c16 step costs 3 node
+// gathers (right offset, key, feature), a c8 step 2 (right offset, then
+// the {int16 key, int16 feature} dword), and a q4 step 1 (the whole word,
+// decoded with the forest's pack-time bit split) — plus one sample-key
+// gather each.  The gathered image stays small, which is what pays off
+// once the forest spills L2.
 //
 // The AVX2 translation unit is compiled only when CMake detects an x86-64
 // toolchain with -mavx2 (the FLINT_SIMD option); callers must additionally
 // check layout_avx2_supported() at runtime before dispatching.
 //
 // Sample keys arrive as feature-major int32 tiles of 8 lanes
-// (tile[c*8 + l] = narrowed key of lane l, feature c), produced by
-// CompactForest::remap32 with an 8-element stride; votes are laid out
+// (tile[c*8 + l] = narrow key of lane l, feature c), written by the
+// image's remap with an 8-element stride; votes are laid out
 // votes[(tile*8 + l) * classes + c].
 #pragma once
 
@@ -23,6 +25,7 @@
 #include <cstdint>
 
 #include "exec/layout/compact.hpp"
+#include "exec/layout/quant4.hpp"
 
 namespace flint::exec::layout {
 
@@ -32,8 +35,8 @@ namespace flint::exec::layout {
 [[nodiscard]] bool layout_avx2_supported() noexcept;
 
 /// Walks every tree over `n_tiles` 8-lane key tiles and accumulates
-/// per-lane votes (see file comment for layouts).  Thread-safe: touches
-/// only its arguments.
+/// per-lane votes (see file comment for layouts).  The q4 overload decodes
+/// words with `geom`.  Thread-safe: touches only its arguments.
 void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
                         std::size_t trees, const std::int32_t* tiles,
                         std::size_t n_tiles, std::size_t cols, int* votes,
@@ -42,18 +45,10 @@ void predict_tiles_avx2(const CompactNode8* nodes, const std::int32_t* roots,
                         std::size_t trees, const std::int32_t* tiles,
                         std::size_t n_tiles, std::size_t cols, int* votes,
                         std::size_t classes);
-
-/// The 4-byte (layout:q4) walk: one gather per step fetches the whole node
-/// word, decoded with the forest's pack-time bit split (key_bits low,
-/// feature_bits above, right offset above that, sign bit = leaf).  `words`
-/// is the packed CompactNode4 image viewed as raw uint32s so this header
-/// needs no quant4.hpp include; tiles carry the batch-boundary quantized
-/// sample keys (already integers — no remap ran per block).
-void predict_tiles_q4_avx2(const std::uint32_t* words,
-                           const std::int32_t* roots, std::size_t trees,
-                           const std::int32_t* tiles, std::size_t n_tiles,
-                           std::size_t cols, int* votes, std::size_t classes,
-                           std::uint32_t key_bits, std::uint32_t feature_bits);
+void predict_tiles_avx2(const CompactNode4* nodes, const Q4Geometry& geom,
+                        const std::int32_t* roots, std::size_t trees,
+                        const std::int32_t* tiles, std::size_t n_tiles,
+                        std::size_t cols, int* votes, std::size_t classes);
 
 #endif  // FLINT_SIMD_AVX2
 

@@ -213,13 +213,13 @@ LayoutPlan auto_plan(const trees::ForestStats& stats, const NarrowFit& fit,
     const bool cache_hostile =
         stats.total_nodes * node_bytes(NodeWidth::C16) > 2 * l2;
     const bool remap_amortized = remap_cost * 4.0 < walk;
-    // Narrow-width ladder, 4-byte first: q4 halves c8's image again and its
-    // remap runs once per batch rather than once per block, so whenever c8
-    // would have been worth the remap, q4 dominates it.  ExecArtifacts —
-    // the only caller that plans images — packs eagerly and demotes via
-    // fit.allow_q4 = false when the bit budget or the quantization
-    // accuracy contract fails, so an auto Q4 plan that survives here is
-    // only tentative until the pack succeeds.
+    // Narrow-width ladder, 4-byte first: q4 halves c8's image again at the
+    // same remap cost (every width maps each sample once, in its block),
+    // so whenever c8 would have been worth the remap, q4 dominates it.
+    // ExecArtifacts — the only caller that plans images — packs eagerly
+    // and demotes via fit.allow_q4 = false when the bit budget or the
+    // quantization accuracy contract fails, so an auto Q4 plan that
+    // survives here is only tentative until the pack succeeds.
     if (fit.allow_q4 && width_fits(NodeWidth::Q4, fit) && cache_hostile &&
         remap_amortized) {
       plan.width = NodeWidth::Q4;

@@ -25,12 +25,11 @@
 // fitness (how many distinct thresholds survive).  The plan travels with
 // the packed image, so verify/inspect/bench all report the same contract.
 //
-// Features are quantized ONCE PER BATCH at the predictor boundary into an
-// int16 (int8 when every feature's key range fits a byte) column block;
-// the traversal — scalar lockstep, interleaved predict_one, or the AVX2
-// tile kernel — then touches only integer keys and 4-byte words.  That is
-// the batch-boundary invariant: no float compare, no per-block re-remap,
-// one quantization pass per predict_batch call.
+// Each sample is quantized exactly once, in its block (Q4Forest::remap,
+// called by the engine's traversal core as it fills a block — exec/layout/
+// engine.hpp); the traversal — scalar lockstep, interleaved predict_one,
+// or the AVX2 tile kernel — then touches only integer keys and 4-byte
+// words: no float compare after the remap.
 //
 // NaN default-direction and categorical splits route exactly as in the
 // other layouts, via a per-node flags SIDECAR (allocated only for special
@@ -40,7 +39,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -119,6 +117,10 @@ struct Q4Geometry {
 /// A forest packed into 4-byte words plus its quantization plan.
 template <typename T>
 struct Q4Forest {
+  /// Element type of quantized sample keys (keys span at most 16 bits).
+  using Key = std::uint16_t;
+  static constexpr NodeWidth kWidth = NodeWidth::Q4;
+
   Q4Geometry geom;
   int num_classes = 0;
   std::size_t feature_count = 0;
@@ -132,63 +134,24 @@ struct Q4Forest {
   /// (the word has no spare bits, so special semantics ride in a sidecar
   /// the fast paths never touch).
   std::vector<std::uint8_t> flags;
-
-  // Category side tables, same scheme as CompactForest: one engine slot per
-  // categorical node, slot id stored in the node's key bits.
-  std::vector<std::uint32_t> cat_words;
-  std::vector<std::int32_t> cat_offsets;
-  std::vector<std::int32_t> cat_sizes;
-  std::vector<std::int32_t> cat_feature;
+  /// Category slots; each slot id is stored in its node's key bits.
+  CategorySlots cats;
 
   /// Bit-exact contract: every feature keys by exact rank.
   [[nodiscard]] bool exact() const noexcept { return qplan.all_exact(); }
 
-  [[nodiscard]] std::size_t cat_slot_count() const noexcept {
-    return cat_feature.size();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> cat_set_of_slot(
-      std::size_t s) const noexcept {
-    return {cat_words.data() + static_cast<std::size_t>(cat_offsets[s]),
-            static_cast<std::size_t>(cat_sizes[s])};
-  }
-
-  /// Largest stored key any feature can produce — decides whether the
-  /// batch column block narrows to int8.
-  [[nodiscard]] std::int64_t max_key_span() const noexcept {
-    std::int64_t m = 0;
-    for (const auto& fq : qplan.features) m = std::max(m, fq.key_span());
-    return m;
-  }
-
-  /// Quantizes one sample row to stored keys (the batch-boundary pass).
-  /// Exact features rank through the table; affine features go through
-  /// their calibrated map.  `out` needs feature_count slots.  Thread-safe.
-  template <typename KeyT>
-  void quantize_row(const T* x, KeyT* out) const {
+  /// Quantizes one sample to stored keys, feature f landing at
+  /// out[f * stride]: exact features rank through the table, affine
+  /// features go through their calibrated map.  Thread-safe.
+  template <typename K>
+  void remap(const T* x, K* out, std::size_t stride = 1) const {
     for (std::size_t f = 0; f < feature_count; ++f) {
       const auto& fq = qplan.features[f];
-      if (fq.exact()) {
-        out[f] = static_cast<KeyT>(tables.features[f].rank(x[f]));
-      } else {
-        out[f] = static_cast<KeyT>(fq.quantize(static_cast<double>(x[f])) -
-                                   fq.q_lo);
-      }
-    }
-  }
-
-  /// Per-sample NaN / categorical-membership masks (identical contract to
-  /// CompactForest::special_masks).
-  void special_masks(const T* x, std::uint8_t* nan_out,
-                     std::uint8_t* member_out) const {
-    for (std::size_t f = 0; f < feature_count; ++f) {
-      nan_out[f] = core::is_nan_bits<T>(core::si_bits(x[f])) ? 1 : 0;
-    }
-    for (std::size_t s = 0; s < cat_feature.size(); ++s) {
-      const T v = x[static_cast<std::size_t>(cat_feature[s])];
-      member_out[s] = (!core::is_nan_bits<T>(core::si_bits(v)) &&
-                       trees::cat_contains(cat_set_of_slot(s), v))
-                          ? 1
-                          : 0;
+      out[f * stride] =
+          fq.exact()
+              ? static_cast<K>(tables.features[f].rank(x[f]))
+              : static_cast<K>(fq.quantize(static_cast<double>(x[f])) -
+                               fq.q_lo);
     }
   }
 };
@@ -207,56 +170,6 @@ template <typename T>
     const KeyTableSet<T>& tables, bool force_affine = false,
     std::string* why = nullptr);
 
-/// Execution engine over a Q4Forest: batch-boundary quantization feeding
-/// branch-free scalar lockstep, an interleaved latency path, and (when
-/// compiled in and supported) the AVX2 tile kernel.  Same external
-/// contract as LayoutForestEngine; const-thread-safe.
-template <typename T>
-class Q4ForestEngine {
- public:
-  /// Binds an already-packed image (try_pack_q4 — in production via
-  /// exec/artifacts) without re-packing; `plan.width` is forced to Q4.
-  /// Throws std::invalid_argument on an empty image.
-  Q4ForestEngine(Q4Forest<T> packed, const LayoutPlan& plan);
-
-  [[nodiscard]] const LayoutPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] const Q4Forest<T>& packed() const noexcept { return packed_; }
-  [[nodiscard]] int num_classes() const noexcept {
-    return packed_.num_classes;
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept {
-    return packed_.feature_count;
-  }
-  [[nodiscard]] std::size_t tree_count() const noexcept {
-    return packed_.roots.size();
-  }
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return packed_.nodes.size();
-  }
-  [[nodiscard]] std::size_t node_bytes() const noexcept {
-    return sizeof(CompactNode4);
-  }
-  [[nodiscard]] std::size_t hot_node_count() const noexcept {
-    return packed_.hot_nodes;
-  }
-
-  void predict_batch(const T* features, std::size_t n_samples,
-                     std::int32_t* out) const;
-
-  /// Additive leaf-value epilogue (same contract as
-  /// LayoutForestEngine::predict_scores: tree-order accumulation, leaf key
-  /// payload indexes a leaf_values row).
-  void predict_scores(const T* features, std::size_t n_samples,
-                      std::span<const T> leaf_values, std::size_t n_outputs,
-                      std::span<const T> base, T* out) const;
-
-  [[nodiscard]] std::int32_t predict(std::span<const T> x) const;
-
- private:
-  LayoutPlan plan_;
-  Q4Forest<T> packed_;
-};
-
 extern template struct Q4Forest<float>;
 extern template struct Q4Forest<double>;
 extern template std::optional<Q4Forest<float>> try_pack_q4<float>(
@@ -265,7 +178,5 @@ extern template std::optional<Q4Forest<float>> try_pack_q4<float>(
 extern template std::optional<Q4Forest<double>> try_pack_q4<double>(
     const trees::Forest<double>&, const LayoutPlan&,
     const KeyTableSet<double>&, bool, std::string*);
-extern template class Q4ForestEngine<float>;
-extern template class Q4ForestEngine<double>;
 
 }  // namespace flint::exec::layout

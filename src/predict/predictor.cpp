@@ -14,12 +14,11 @@
 #include <thread>
 #include <type_traits>
 #include <utility>
-#include <variant>
 
 #include "core/thread_annotations.hpp"
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/interpreter.hpp"
-#include "exec/layout/compact.hpp"
+#include "exec/layout/engine.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
@@ -302,16 +301,6 @@ double Predictor<T>::accuracy(const data::Dataset<T>& dataset) const {
 
 namespace {
 
-/// First-maximum argmax over one sample's vote row — the exact tie rule of
-/// Forest::predict (lowest class id wins on equal votes).
-std::int32_t argmax_votes(const int* votes, int num_classes) {
-  std::int32_t best = 0;
-  for (int c = 1; c < num_classes; ++c) {
-    if (votes[c] > votes[best]) best = c;
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------------------
 // Score epilogue data: float-accumulate for additive leaf-value models
 // (model::ForestModel with SumScores aggregation).  Every backend
@@ -465,8 +454,8 @@ class BlockedExec {
         },
         [&](std::size_t base, std::size_t block) {
           for (std::size_t s = 0; s < block; ++s) {
-            out[base + s] = argmax_votes(votes.data() + s * classes,
-                                         static_cast<int>(classes));
+            out[base + s] = trees::argmax_first(votes.data() + s * classes,
+                                                static_cast<int>(classes));
           }
         });
   }
@@ -536,18 +525,17 @@ class BlockedExec {
   std::size_t block_size_;
 };
 
-/// Packed-image backends whose engine runs whole batches itself:
-/// LayoutForestEngine (16/8-byte compact nodes, exec/layout/compact.hpp)
-/// and Q4ForestEngine (4-byte quantized nodes, exec/layout/quant4.hpp).
-/// Leaf payloads are class ids or leaf-value row indices, so the key-width
-/// pack gates bound the score table exactly like class ids.  `name` empty
-/// means "layout:" + the engine's plan.
-template <typename T, typename Engine>
+/// Packed-image backends: exec/layout's LayoutForestEngine runs whole
+/// batches itself over any packed image (16/8-byte compact nodes or the
+/// 4-byte quantized word).  Leaf payloads are class ids or leaf-value row
+/// indices, so the key-width pack gates bound the score table exactly like
+/// class ids.  `name` empty means "layout:" + the engine's plan.
+template <typename T>
 class ImageExec {
  public:
-  template <typename... EngineArgs>
-  explicit ImageExec(std::string name, EngineArgs&&... engine_args)
-      : engine_(std::forward<EngineArgs>(engine_args)...),
+  ImageExec(std::string name, exec::layout::PackedImage<T> image,
+            const exec::layout::LayoutPlan& plan)
+      : engine_(std::move(image), plan),
         name_(name.empty() ? "layout:" + engine_.plan().describe()
                            : std::move(name)) {}
 
@@ -570,7 +558,7 @@ class ImageExec {
   }
 
  private:
-  Engine engine_;
+  exec::layout::LayoutForestEngine<T> engine_;
   std::string name_;
 };
 
@@ -1032,17 +1020,8 @@ std::unique_ptr<Predictor<T>> make_layout_predictor(
   std::string why;
   auto image = art.try_image_at(art.plan().width, art.plan().hot_depth, &why);
   if (!image) throw cannot_pack(why);
-  return std::visit(
-      [&](auto& packed) {
-        using Image = std::decay_t<decltype(packed)>;
-        using Engine =
-            std::conditional_t<std::is_same_v<Image, layout::Q4Forest<T>>,
-                               layout::Q4ForestEngine<T>,
-                               layout::LayoutForestEngine<T>>;
-        return make_engine<ImageExec<T, Engine>>(
-            std::move(score), std::string{}, std::move(packed), art.plan());
-      },
-      *image);
+  return make_engine<ImageExec<T>>(std::move(score), std::string{},
+                                  std::move(*image), art.plan());
 }
 
 /// quant:affine — the deterministic lossy path: every feature with splits
@@ -1069,7 +1048,7 @@ std::unique_ptr<Predictor<T>> make_quant_affine_predictor(
     throw std::invalid_argument(
         "make_predictor: quant:affine cannot pack this model (" + why + ")");
   }
-  return make_engine<ImageExec<T, layout::Q4ForestEngine<T>>>(
+  return make_engine<ImageExec<T>>(
       std::move(score), "quant:affine(" + art.plan().describe() + ")",
       std::move(*packed), art.plan());
 }

@@ -241,11 +241,11 @@ struct PredictorOptions {
 ///   layout:c16 | layout:c8    LayoutForestEngine pinned to 16- or 8-byte
 ///                             compact nodes (throws when the model cannot
 ///                             be narrowed to that width)
-///   layout:q4                 Q4ForestEngine pinned to 4-byte quantized
+///   layout:q4                 LayoutForestEngine pinned to 4-byte quantized
 ///                             nodes (exec/layout/quant4.hpp): per-feature
 ///                             exact-rank or calibrated-affine thresholds
-///                             under a QuantPlan, features quantized once
-///                             per batch, integer-only hot loop; the auto
+///                             under a QuantPlan, each sample quantized
+///                             once, integer-only hot loop; the auto
 ///                             tuner picks this width itself only when the
 ///                             exactness/accuracy contract holds — pinning
 ///                             accepts any packable image (lossy included)
@@ -277,13 +277,13 @@ template <typename T>
 ///   float/encoded/flint/
 ///   theorem1/theorem2/radix   blocked predict_tree accumulation over the
 ///                             matching interpreter engine
-///   layout:auto|c16|c8|q4     LayoutForestEngine / Q4ForestEngine
-///                             predict_scores (compact nodes; the leaf
+///   layout:auto|c16|c8|q4     LayoutForestEngine::predict_scores
+///                             (packed nodes; the leaf
 ///                             payload is a leaf-value row index, so the
 ///                             same key-width gates apply); auto falls back
 ///                             to the encoded interpreter when nothing
 ///                             compact fits
-///   quant:affine              Q4ForestEngine::predict_scores with the
+///   quant:affine              LayoutForestEngine::predict_scores with the
 ///                             all-affine plan
 ///
 /// predict_batch on the result classifies via the aggregation (argmax /

@@ -23,6 +23,17 @@ struct ForestOptions {
   bool bootstrap = true;   ///< sample n rows with replacement per tree
 };
 
+/// First-maximum argmax over one sample's vote row: the tie rule of
+/// Forest::predict (lowest class id wins on equal votes).
+[[nodiscard]] inline std::int32_t argmax_first(const int* votes,
+                                               int num_classes) noexcept {
+  std::int32_t best = 0;
+  for (int c = 1; c < num_classes; ++c) {
+    if (votes[c] > votes[best]) best = c;
+  }
+  return best;
+}
+
 template <typename T>
 class Forest {
  public:

@@ -48,13 +48,6 @@ class Sink {
   std::size_t count_ = 0;
 };
 
-/// The packers' -0.0 -> +0.0 split rewrite (core::encode_threshold_le
-/// semantics; +0.0 == -0.0 under IEEE so the comparison form is exact).
-template <typename T>
-T normalize_zero(T split) {
-  return split == T{0} ? T{0} : split;
-}
-
 /// Rank of `split` in its feature's key table IF the exactness round trip
 /// holds (the split's radix key present at its own rank); nullopt when the
 /// table cannot represent this split — the invariant every narrowed node
@@ -62,7 +55,7 @@ T normalize_zero(T split) {
 template <typename T>
 std::optional<std::int32_t> checked_rank(
     const exec::layout::KeyTable<T>& table, T split) {
-  const auto key = core::to_radix_key(normalize_zero(split));
+  const auto key = core::to_radix_key(core::normalize_zero(split));
   const auto r = table.rank_of_key(key);
   if (static_cast<std::size_t>(r) >= table.size() ||
       table.sorted[static_cast<std::size_t>(r)] != key) {
@@ -356,7 +349,8 @@ void verify_packed_nodes(const trees::Forest<T>& forest,
         }
         continue;
       }
-      const auto enc = core::encode_threshold_le(normalize_zero(n.split));
+      const auto enc =
+          core::encode_threshold_le(core::normalize_zero(n.split));
       const bool want_flip = enc.mode == core::ThresholdMode::SignFlip;
       const bool got_flip = (p.flags & exec::kPackedSignFlip) != 0;
       if (p.payload != enc.immediate || got_flip != want_flip) {
@@ -395,8 +389,8 @@ void verify_compact(const trees::Forest<T>& forest,
               std::to_string(f.hot_nodes) + " > " +
               std::to_string(f.nodes.size()) + ")");
   }
-  if (f.cat_offsets.size() != f.cat_sizes.size() ||
-      f.cat_offsets.size() != f.cat_feature.size()) {
+  if (f.cats.offsets.size() != f.cats.sizes.size() ||
+      f.cats.offsets.size() != f.cats.feature.size()) {
     s.add("compact.cat", -1, -1, "category slot tables ragged");
     return;
   }
@@ -467,21 +461,21 @@ void verify_compact(const trees::Forest<T>& forest,
       if (n.is_categorical()) {
         const auto slot = static_cast<std::int64_t>(pn.key);
         if (slot < 0 ||
-            slot >= static_cast<std::int64_t>(f.cat_slot_count())) {
+            slot >= static_cast<std::int64_t>(f.cats.slot_count())) {
           s.add("compact.cat", ti, p,
                 "category slot " + std::to_string(slot) + " outside [0, " +
-                    std::to_string(f.cat_slot_count()) + ")");
+                    std::to_string(f.cats.slot_count()) + ")");
         } else {
           const auto us = static_cast<std::size_t>(slot);
-          const auto off = f.cat_offsets[us];
-          const auto sz = f.cat_sizes[us];
+          const auto off = f.cats.offsets[us];
+          const auto sz = f.cats.sizes[us];
           const auto want = tree.cat_set(n.cat_slot);
-          if (f.cat_feature[us] != n.feature || off < 0 || sz < 0 ||
+          if (f.cats.feature[us] != n.feature || off < 0 || sz < 0 ||
               static_cast<std::size_t>(off) + static_cast<std::size_t>(sz) >
-                  f.cat_words.size() ||
+                  f.cats.words.size() ||
               static_cast<std::size_t>(sz) != want.size() ||
               !std::equal(want.begin(), want.end(),
-                          f.cat_words.begin() + off)) {
+                          f.cats.words.begin() + off)) {
             s.add("compact.cat", ti, p,
                   "category slot " + std::to_string(slot) +
                       " feature/bitset diverged");
@@ -491,7 +485,7 @@ void verify_compact(const trees::Forest<T>& forest,
         std::optional<std::int64_t> want_key;
         if (f.identity_keys) {
           want_key = static_cast<std::int64_t>(
-              core::to_radix_key(normalize_zero(n.split)));
+              core::to_radix_key(core::normalize_zero(n.split)));
         } else if (static_cast<std::size_t>(n.feature) <
                    tables.features.size()) {
           const auto rank = checked_rank(
@@ -569,8 +563,8 @@ void verify_q4(const trees::Forest<T>& forest,
               std::to_string(f.hot_nodes) + " > " +
               std::to_string(f.nodes.size()) + ")");
   }
-  if (f.cat_offsets.size() != f.cat_sizes.size() ||
-      f.cat_offsets.size() != f.cat_feature.size()) {
+  if (f.cats.offsets.size() != f.cats.sizes.size() ||
+      f.cats.offsets.size() != f.cats.feature.size()) {
     s.add("q4.cat", -1, -1, "category slot tables ragged");
     return;
   }
@@ -648,21 +642,21 @@ void verify_q4(const trees::Forest<T>& forest,
       if (n.is_categorical()) {
         const auto slot = static_cast<std::int64_t>(g.key_of(w));
         if (slot < 0 ||
-            slot >= static_cast<std::int64_t>(f.cat_slot_count())) {
+            slot >= static_cast<std::int64_t>(f.cats.slot_count())) {
           s.add("q4.cat", ti, p,
                 "category slot " + std::to_string(slot) + " outside [0, " +
-                    std::to_string(f.cat_slot_count()) + ")");
+                    std::to_string(f.cats.slot_count()) + ")");
         } else {
           const auto us = static_cast<std::size_t>(slot);
-          const auto off = f.cat_offsets[us];
-          const auto sz = f.cat_sizes[us];
+          const auto off = f.cats.offsets[us];
+          const auto sz = f.cats.sizes[us];
           const auto want = tree.cat_set(n.cat_slot);
-          if (f.cat_feature[us] != n.feature || off < 0 || sz < 0 ||
+          if (f.cats.feature[us] != n.feature || off < 0 || sz < 0 ||
               static_cast<std::size_t>(off) + static_cast<std::size_t>(sz) >
-                  f.cat_words.size() ||
+                  f.cats.words.size() ||
               static_cast<std::size_t>(sz) != want.size() ||
               !std::equal(want.begin(), want.end(),
-                          f.cat_words.begin() + off)) {
+                          f.cats.words.begin() + off)) {
             s.add("q4.cat", ti, p,
                   "category slot " + std::to_string(slot) +
                       " feature/bitset diverged");
@@ -681,7 +675,7 @@ void verify_q4(const trees::Forest<T>& forest,
           }
         } else {
           want_key =
-              fq.quantize(static_cast<double>(normalize_zero(n.split))) -
+              fq.quantize(static_cast<double>(core::normalize_zero(n.split))) -
               fq.q_lo;
         }
         if (!want_key || *want_key < 0 ||

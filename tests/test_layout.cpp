@@ -1,27 +1,31 @@
 // Property tests for the exec/layout subsystem: FLInt order-preserving
 // threshold narrowing must be exact on adversarial bit patterns (signed
-// zeros, denormals, infinities, adjacent patterns), the compact node
-// engines must be bit-identical to Forest::predict at every width x
-// placement x traversal configuration, width fallback must engage when a
-// feature's thresholds cannot be ranked at the narrow width, and the
-// narrowed SoA keys must decide exactly like the unified SIMD compare.
+// zeros, denormals, infinities, adjacent patterns), the layout engine
+// must be bit-identical to Forest::predict on every packed format (c16,
+// c8, q4) at every placement x traversal configuration, and width
+// fallback must engage when a feature's thresholds cannot be ranked at the
+// narrow width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/flint.hpp"
 #include "data/synth.hpp"
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/layout/compact.hpp"
+#include "exec/layout/engine.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
@@ -144,24 +148,22 @@ TEST(KeyTable, BuildFromForestCoversEverySplitExactly) {
 
 /// Packs `forest` at exactly `plan` with the public packers and binds the
 /// image — the factory's path minus the planner, so a test can pin a plan.
-template <typename Engine>
-Engine pack_and_bind(const flint::trees::Forest<float>& forest,
-                     const layout::LayoutPlan& plan,
-                     const layout::KeyTableSet<float>& tables) {
+layout::LayoutForestEngine<float> pack_and_bind(
+    const flint::trees::Forest<float>& forest, const layout::LayoutPlan& plan,
+    const layout::KeyTableSet<float>& tables) {
   std::string why;
-  const auto bind = [&](auto packed) {
-    if (!packed) throw std::runtime_error("pack failed: " + why);
-    return Engine(std::move(*packed), plan);
-  };
-  if constexpr (std::is_same_v<Engine, layout::Q4ForestEngine<float>>) {
-    return bind(layout::try_pack_q4<float>(forest, plan, tables, false, &why));
+  std::optional<layout::PackedImage<float>> image;
+  if (plan.width == layout::NodeWidth::Q4) {
+    image = layout::try_pack_q4<float>(forest, plan, tables, false, &why);
   } else if (plan.width == layout::NodeWidth::C8) {
-    return bind(layout::try_pack<float, layout::CompactNode8>(forest, plan,
-                                                             tables, &why));
+    image = layout::try_pack<float, layout::CompactNode8>(forest, plan,
+                                                          tables, &why);
   } else {
-    return bind(layout::try_pack<float, layout::CompactNode16>(forest, plan,
-                                                              tables, &why));
+    image = layout::try_pack<float, layout::CompactNode16>(forest, plan,
+                                                           tables, &why);
   }
+  if (!image) throw std::runtime_error("pack failed: " + why);
+  return layout::LayoutForestEngine<float>(std::move(*image), plan);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,8 +223,7 @@ TEST_F(LayoutEngine, BitIdenticalAcrossWidthPlacementTraversal) {
         plan.interleave = interleave;
         plan.block_size = 48;
         plan.prefetch_opposite = hot_depth != 0;
-        const auto engine = pack_and_bind<layout::LayoutForestEngine<float>>(
-            forest_, plan, tables_);
+        const auto engine = pack_and_bind(forest_, plan, tables_);
         EXPECT_EQ(engine.node_bytes(),
                   width == layout::NodeWidth::C16 ? 16u : 8u);
         EXPECT_EQ(engine.hot_node_count() > 0, hot_depth > 0);
@@ -243,29 +244,164 @@ TEST_F(LayoutEngine, BitIdenticalAcrossWidthPlacementTraversal) {
   }
 }
 
-TEST_F(LayoutEngine, ScalarLockstepPathMatchesVectorPath) {
-  // FLINT_LAYOUT_FORCE_SCALAR pins the portable blocked loop, so this
-  // covers it even on hosts where the AVX2 kernel would always dispatch.
-  const std::size_t n = 211;
-  const auto features = adversarial_features(n, 23);
-  const std::size_t cols = forest_.feature_count();
-  std::vector<std::int32_t> expected(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    expected[s] = forest_.predict({features.data() + s * cols, cols});
+/// Sets FLINT_LAYOUT_FORCE_SCALAR (pins the portable blocked loop, so the
+/// scalar path is covered even on hosts where the AVX2 kernel would always
+/// dispatch) and restores its previous state on scope exit, so a failing
+/// assertion cannot leak the override into later tests.
+class ScopedForceScalar {
+ public:
+  ScopedForceScalar() {
+    if (const char* v = std::getenv(kName)) saved_ = v;
+    setenv(kName, "1", 1);
   }
-  setenv("FLINT_LAYOUT_FORCE_SCALAR", "1", 1);
-  for (const auto width : {layout::NodeWidth::C16, layout::NodeWidth::C8}) {
-    layout::LayoutPlan plan;
-    plan.width = width;
-    plan.block_size = 32;
-    plan.prefetch_opposite = true;
-    const auto engine =
-        pack_and_bind<layout::LayoutForestEngine<float>>(forest_, plan, tables_);
-    std::vector<std::int32_t> out(n, -1);
-    engine.predict_batch(features.data(), n, out.data());
-    EXPECT_EQ(out, expected) << plan.describe();
+  ~ScopedForceScalar() {
+    if (saved_) {
+      setenv(kName, saved_->c_str(), 1);
+    } else {
+      unsetenv(kName);
+    }
   }
-  unsetenv("FLINT_LAYOUT_FORCE_SCALAR");
+  ScopedForceScalar(const ScopedForceScalar&) = delete;
+  ScopedForceScalar& operator=(const ScopedForceScalar&) = delete;
+
+ private:
+  static constexpr const char* kName = "FLINT_LAYOUT_FORCE_SCALAR";
+  std::optional<std::string> saved_;
+};
+
+/// A forest of NaN default-left and categorical splits (plus flagless
+/// numeric ones): 7 random trees of depth <= 6 over 4 features, 3 classes.
+flint::trees::Forest<float> special_forest(std::uint64_t seed) {
+  using flint::trees::Tree;
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> pct(0, 99);
+  std::function<std::int32_t(Tree<float>&, int)> grow =
+      [&](Tree<float>& tree, int depth) -> std::int32_t {
+    if (depth == 0 || pct(rng) < 20) return tree.add_leaf(pct(rng) % 3);
+    const std::int32_t feature = pct(rng) % 4;
+    const int kind = pct(rng);
+    std::int32_t self;
+    if (kind < 30) {
+      const std::uint32_t words[] = {static_cast<std::uint32_t>(rng()) | 1u,
+                                     static_cast<std::uint32_t>(rng())};
+      self = tree.add_cat_split(feature, tree.add_cat_set(words),
+                                pct(rng) < 50);
+    } else if (kind < 80) {
+      self = tree.add_split(feature, static_cast<float>(pct(rng) - 50) / 8.0f,
+                            pct(rng) < 50);
+    } else {
+      self = tree.add_split(feature, static_cast<float>(pct(rng) - 50) / 8.0f);
+    }
+    const std::int32_t left = grow(tree, depth - 1);
+    const std::int32_t right = grow(tree, depth - 1);
+    tree.link(self, left, right);
+    return self;
+  };
+  std::vector<Tree<float>> trees;
+  for (int t = 0; t < 7; ++t) {
+    Tree<float> tree(4);
+    grow(tree, 6);
+    trees.push_back(std::move(tree));
+  }
+  return flint::trees::Forest<float>(std::move(trees), 3);
+}
+
+/// Row-major inputs for special_forest: NaNs, category-range integers,
+/// signed zeros and uniforms around the split range.
+std::vector<float> special_features(std::size_t n, std::size_t cols,
+                                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> kind(0, 4);
+  std::uniform_int_distribution<int> category(-3, 70);
+  std::uniform_real_distribution<float> uniform(-7.0f, 7.0f);
+  std::vector<float> features(n * cols);
+  for (auto& v : features) {
+    switch (kind(rng)) {
+      case 0: v = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: v = static_cast<float>(category(rng)); break;
+      case 2: v = -0.0f; break;
+      default: v = uniform(rng);
+    }
+  }
+  return features;
+}
+
+// One table over every packed format: votes on the default (vector where
+// supported), forced-scalar and interleaved paths, and tree-order scores,
+// all against the reference, on the plain fixture forest and on a special
+// forest.  Batch 3 takes the latency path, 211 several blocks plus a tail.
+TEST_F(LayoutEngine, EveryFormatMatchesReferenceOnEveryPath) {
+  constexpr std::size_t kMaxBatch = 211;
+  const auto special = special_forest(41);
+  ASSERT_TRUE(special.has_special_splits());
+  struct Case {
+    const char* name;
+    const flint::trees::Forest<float>* forest;
+    std::vector<float> features;
+  };
+  const Case cases[] = {
+      {"plain", &forest_, adversarial_features(kMaxBatch, 23)},
+      {"special", &special,
+       special_features(kMaxBatch, special.feature_count(), 43)}};
+  for (const Case& c : cases) {
+    const auto& forest = *c.forest;
+    const auto tables = layout::build_key_tables(forest);
+    const std::size_t cols = forest.feature_count();
+    // Scores: two outputs per leaf row (payload = class id), summed in
+    // tree order from a non-zero base, exactly as the engine must.
+    constexpr std::size_t k = 2;
+    std::vector<float> leaf_values(
+        static_cast<std::size_t>(forest.num_classes()) * k);
+    for (std::size_t i = 0; i < leaf_values.size(); ++i) {
+      leaf_values[i] = 0.1f * static_cast<float>(i) - 0.35f;
+    }
+    const std::vector<float> base = {0.5f, -1.25f};
+    std::vector<std::int32_t> want_votes(kMaxBatch);
+    std::vector<float> want_scores(kMaxBatch * k);
+    for (std::size_t s = 0; s < kMaxBatch; ++s) {
+      const std::span<const float> x(c.features.data() + s * cols, cols);
+      want_votes[s] = forest.predict(x);
+      for (std::size_t j = 0; j < k; ++j) want_scores[s * k + j] = base[j];
+      for (std::size_t t = 0; t < forest.size(); ++t) {
+        const auto row = static_cast<std::size_t>(forest.tree(t).predict(x));
+        for (std::size_t j = 0; j < k; ++j) {
+          want_scores[s * k + j] += leaf_values[row * k + j];
+        }
+      }
+    }
+    for (const auto width : {layout::NodeWidth::C16, layout::NodeWidth::C8,
+                             layout::NodeWidth::Q4}) {
+      layout::LayoutPlan plan;
+      plan.width = width;
+      plan.hot_depth = 2;
+      plan.block_size = 32;
+      plan.prefetch_opposite = true;
+      const auto engine = pack_and_bind(forest, plan, tables);
+      for (const std::size_t n : {std::size_t{3}, kMaxBatch}) {
+        const std::string where = std::string(c.name) + " " +
+                                  plan.describe() + " n=" + std::to_string(n);
+        const std::vector<std::int32_t> want(want_votes.begin(),
+                                             want_votes.begin() + n);
+        std::vector<std::int32_t> votes(n, -1);
+        engine.predict_batch(c.features.data(), n, votes.data());
+        EXPECT_EQ(votes, want) << where;
+        {
+          const ScopedForceScalar scalar;
+          std::fill(votes.begin(), votes.end(), -1);
+          engine.predict_batch(c.features.data(), n, votes.data());
+          EXPECT_EQ(votes, want) << where << " (forced scalar)";
+        }
+        std::vector<float> scores(n * k);
+        engine.predict_scores(c.features.data(), n, leaf_values, k, base,
+                              scores.data());
+        for (std::size_t i = 0; i < n * k; ++i) {
+          ASSERT_EQ(flint::core::si_bits(scores[i]),
+                    flint::core::si_bits(want_scores[i]))
+              << where << " score " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(LayoutEngine, PackedInvariants) {
@@ -613,7 +749,7 @@ TEST_F(LayoutEngine, Q4PackGeometryAndInvariants) {
   EXPECT_EQ(leaves, expected_leaves);
 }
 
-TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
+TEST_F(LayoutEngine, Q4EngineBitIdenticalOnBatchAndLatencyPaths) {
   const std::size_t n = 523;
   const auto features = adversarial_features(n, 29);
   const std::size_t cols = forest_.feature_count();
@@ -626,8 +762,7 @@ TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
     plan.width = layout::NodeWidth::Q4;
     plan.hot_depth = hot_depth;
     plan.block_size = 48;
-    const auto engine =
-        pack_and_bind<layout::Q4ForestEngine<float>>(forest_, plan, tables_);
+    const auto engine = pack_and_bind(forest_, plan, tables_);
     EXPECT_EQ(engine.node_bytes(), 4u);
     std::vector<std::int32_t> out(n, -1);
     engine.predict_batch(features.data(), n, out.data());
@@ -638,22 +773,11 @@ TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
     for (std::size_t s = 0; s < 3; ++s) ASSERT_EQ(small[s], expected[s]);
     ASSERT_EQ(engine.predict({features.data(), cols}), expected[0]);
   }
-  // Scalar lockstep path pinned via the env override.
-  setenv("FLINT_LAYOUT_FORCE_SCALAR", "1", 1);
-  layout::LayoutPlan plan;
-  plan.width = layout::NodeWidth::Q4;
-  plan.block_size = 32;
-  const auto engine =
-      pack_and_bind<layout::Q4ForestEngine<float>>(forest_, plan, tables_);
-  std::vector<std::int32_t> out(n, -1);
-  engine.predict_batch(features.data(), n, out.data());
-  EXPECT_EQ(out, expected);
-  unsetenv("FLINT_LAYOUT_FORCE_SCALAR");
 }
 
 /// One-feature forest over an explicit threshold list (right-leaning
-/// chain), so the rank-table size — and with it the q4 key span / int8 vs
-/// int16 column-block width — is chosen by the test.
+/// chain), so the rank-table size — and with it the q4 key span — is
+/// chosen by the test.
 flint::trees::Forest<float> chain_forest(const std::vector<float>& thresholds) {
   flint::trees::Tree<float> tree(1);
   std::int32_t prev = -1;
@@ -673,15 +797,15 @@ flint::trees::Forest<float> chain_forest(const std::vector<float>& thresholds) {
 // Adversarial narrowing at both quantized key widths: thresholds drawn
 // from the special-pattern pool (signed zeros, denormals, infinities,
 // adjacent bit patterns) must route bit-identically through the 4-byte
-// image, whether the batch column block narrows to int8 (small span) or
-// stays int16 (table > 255 ranks).
+// image, whether every key fits a byte (small span) or needs 16 bits
+// (table > 255 ranks).
 TEST(Q4Narrow, AdversarialThresholdsExactAtInt8AndInt16KeySpans) {
   // int8 span: the adversarial pool dedupes to well under 255 thresholds.
   std::vector<float> small_thresholds;
   for (const float t : adversarial_pool({})) {
     if (!std::isnan(t)) small_thresholds.push_back(t);
   }
-  // int16 span: > 255 distinct thresholds forces the uint16 column block.
+  // int16 span: > 255 distinct thresholds.
   std::vector<float> big_thresholds = small_thresholds;
   for (int i = 0; i < 300; ++i) {
     big_thresholds.push_back(static_cast<float>(i) * 0.5f + 100.0f);
@@ -691,11 +815,14 @@ TEST(Q4Narrow, AdversarialThresholdsExactAtInt8AndInt16KeySpans) {
     const auto tables = layout::build_key_tables(forest);
     layout::LayoutPlan plan;
     plan.width = layout::NodeWidth::Q4;
-    const auto engine =
-        pack_and_bind<layout::Q4ForestEngine<float>>(forest, plan, tables);
-    ASSERT_TRUE(engine.packed().exact());
-    const bool int8_block = engine.packed().max_key_span() <= 255;
+    std::string why;
+    auto packed =
+        layout::try_pack_q4<float>(forest, plan, tables, false, &why);
+    ASSERT_TRUE(packed.has_value()) << why;
+    ASSERT_TRUE(packed->exact());
+    const bool int8_block = packed->qplan.features[0].key_span() <= 255;
     EXPECT_EQ(int8_block, thresholds == &small_thresholds);
+    const layout::LayoutForestEngine<float> engine(std::move(*packed), plan);
     // Probes: thresholds, their bit neighbors, specials, uniforms.
     auto probes = adversarial_pool(*thresholds);
     std::mt19937_64 rng(31);
@@ -735,7 +862,7 @@ TEST(Q4Contract, OversizedTableGoesAffineAndReportsCollapse) {
   EXPECT_EQ(fq.distinct, thresholds.size());
   EXPECT_LT(fq.quantized_distinct, fq.distinct);
   // A pinned lossy engine still constructs and serves monotone routing.
-  const layout::Q4ForestEngine<float> engine(*packed, plan);
+  const layout::LayoutForestEngine<float> engine(*packed, plan);
   const float probe = 12345.0f;
   (void)engine.predict({&probe, 1});
 }
